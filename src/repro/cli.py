@@ -598,12 +598,13 @@ def _cache_main(argv: list[str]) -> int:
     """``repro cache``: inventory and maintenance of a cache directory.
 
     ``stats`` prints a JSON inventory — per-stage entry counts and
-    on-disk bytes (v5 kinds like ``trace``/``ccols``/``pcols`` plus the
-    legacy ``trace_npz``/``classified_pickle``/``results_pickle``
-    shapes) and the orphaned temp files / superseded bank directories
-    still awaiting a sweep.  ``sweep`` reclaims those orphans now
-    (every runner also sweeps on cache open, but only debris older than
-    the age gate).
+    on-disk bytes (the v5 kinds ``trace``/``ccols``/``pcols``/
+    ``results``/``ckidx``, with any other file, such as one left by an
+    older cache format, counted as ``other``) and the orphaned temp
+    files / superseded bank directories still awaiting a sweep.
+    ``sweep`` reclaims those orphans now (every runner also sweeps on
+    cache open, but only debris older than the age gate); it never
+    touches ``other`` files, which are deleted by hand.
     """
     from repro.experiments import store
 

@@ -9,23 +9,20 @@ a cached stage actually depends on:
 * **traces** — the kernel's full static content (blocks, instructions,
   terminators), the scale parameters, the warp size and the on-disk
   trace format version;
-* **classified streams** — the trace fingerprint plus the classifier
-  stage version;
-* **timing/power sidecars** — the trace fingerprint, the architecture
-  configuration, the GPU configuration, the energy parameters and the
-  stage version.
+* **classified columns** — the trace fingerprint plus the classifier
+  engine and stage version;
+* **processed columns** — the same plus the architecture and GPU
+  configuration;
+* **timing/power results** — the trace fingerprint, the architecture
+  configuration, the GPU configuration, the energy parameters, the
+  engines and the stage version.
 
-Fingerprints are embedded *inside* the cached file (not in its name),
-so a stale artifact is detected at load time and transparently
-re-executed and overwritten rather than replayed.
-
-Version-bump note: the columnar trace format
-(:data:`repro.simt.serialize._FORMAT_VERSION` = 3) and the batch
-classifier (``STAGE_VERSION`` = 2 in :mod:`repro.experiments.runner`)
-each invalidate the corresponding cached artifacts — v2 ``.npz`` traces
-and v1 pickle sidecars from older checkouts fail their fingerprint or
-version check on load and are transparently re-executed, never
-misread.
+Fingerprints are embedded *inside* each entry's manifest (not in its
+name), so a stale artifact is detected at load time and transparently
+recomputed and overwritten rather than replayed.  Bumping the trace
+format (:data:`repro.simt.serialize._FORMAT_VERSION`) or
+``STAGE_VERSION`` in :mod:`repro.experiments.runner` invalidates the
+corresponding entries the same way.
 
 Everything is canonicalized to JSON before hashing: dataclasses become
 ``{type, fields}`` maps, enums become ``{type, name}`` maps, and dict
@@ -117,29 +114,17 @@ def trace_fingerprint(kernel: Kernel, scale: ScaleConfig, warp_size: int) -> str
     )
 
 
-def classified_fingerprint(
-    trace_fp: str, stage_version: int, classifier: str = "batch"
-) -> str:
-    """Fingerprint identifying one classified event stream.
-
-    ``classifier`` names the engine that produced the stream (``batch``
-    or ``event``).  The engines are differentially tested to emit
-    identical streams, but keying the sidecar on the engine keeps a
-    ``--classifier=event`` differential run from silently replaying the
-    other engine's cache — each engine's output is provably its own.
-    """
-    return fingerprint("classified", stage_version, classifier, trace_fp)
-
-
 def columns_fingerprint(
     trace_fp: str, stage_version: int, classifier: str = "batch"
 ) -> str:
     """Fingerprint identifying one :class:`ClassifiedColumns` bank set.
 
-    Same dependency closure as :func:`classified_fingerprint` — the
-    columns are a pure function of the classified stream — but under a
-    distinct label, so the columnar bank entry and the event-list
-    sidecar for the same stream can never be confused for one another.
+    The columns are a pure function of the trace and the classifier.
+    ``classifier`` names the engine that produced them (``batch`` or
+    ``event``).  The engines are differentially tested to agree, but
+    keying the entry on the engine keeps a ``--classifier=event``
+    differential run from silently replaying the other engine's cache —
+    each engine's output is provably its own.
     """
     return fingerprint("ccols", stage_version, classifier, trace_fp)
 
@@ -183,16 +168,17 @@ def stage_fingerprint(
 
     Timing depends on the architecture and GPU configuration; power
     additionally depends on the energy parameters.  Both live in one
-    sidecar, so the fingerprint covers the union.  ``engine`` names the
-    architecture-interpretation engine (``"batch"`` / ``"event"``) and
-    ``sm_engine`` the SM timing engine (``"event"`` / ``"cycle"``) that
-    produced the results — each engine pair is differentially tested to
-    be bit-identical, but keying them separately guarantees one engine
-    can never silently replay the other's sidecars while investigating
-    a divergence.  ``analysis_version`` keys results that consume a
-    static-analysis artifact (the width analysis feeding
-    ``static_compress``) to that analysis's version, so tightening a
-    transfer function invalidates exactly the results it can change.
+    ``results`` entry, so the fingerprint covers the union.  ``engine``
+    names the architecture-interpretation engine (``"batch"`` /
+    ``"event"``) and ``sm_engine`` the SM timing engine (``"event"`` /
+    ``"cycle"``) that produced the results — each engine pair is
+    differentially tested to be bit-identical, but keying them
+    separately guarantees one engine can never silently replay the
+    other's results while investigating a divergence.
+    ``analysis_version`` keys results that consume a static-analysis
+    artifact (the width analysis feeding ``static_compress``) to that
+    analysis's version, so tightening a transfer function invalidates
+    exactly the results it can change.
     """
     parts = ["stage", stage_version, trace_fp, arch, config, params, engine, sm_engine]
     if analysis_version is not None:

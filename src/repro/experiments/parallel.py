@@ -26,7 +26,6 @@ from typing import Callable, Sequence
 
 from repro.config import ArchitectureConfig, GpuConfig
 from repro.experiments.runner import (
-    DEFAULT_TRANSPORT,
     ExperimentRunner,
     RunnerStats,
     paper_architectures,
@@ -66,7 +65,6 @@ class MatrixTask:
     classifier: str = "batch"
     arch_engine: str = "batch"
     sm_engine: str = "event"
-    transport: str = DEFAULT_TRANSPORT
     chunk_events: int | None = None
     shm: ShmHandle | None = None
     bank_hints: tuple[tuple[str, str], ...] = ()
@@ -81,7 +79,6 @@ def _run_task(task: MatrixTask) -> dict:
         classifier=task.classifier,
         arch_engine=task.arch_engine,
         sm_engine=task.sm_engine,
-        transport=task.transport,
         chunk_events=task.chunk_events,
     )
     if task.bank_hints:
@@ -145,7 +142,6 @@ def run_matrix(
     classifier: str = "batch",
     arch_engine: str = "batch",
     sm_engine: str = "event",
-    transport: str = DEFAULT_TRANSPORT,
     chunk_events: int | None = None,
     shm_handles: "dict[str, ShmHandle] | None" = None,
     bank_hints: "dict[str, tuple[tuple[str, str], ...]] | None" = None,
@@ -181,7 +177,6 @@ def run_matrix(
             classifier=classifier,
             arch_engine=arch_engine,
             sm_engine=sm_engine,
-            transport=transport,
             chunk_events=chunk_events,
             shm=handles.get(abbr),
             bank_hints=hints.get(abbr, ()),

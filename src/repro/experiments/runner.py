@@ -10,40 +10,33 @@ configuration and lazily computes, per benchmark:
 Every figure regenerator takes a runner, so a full ``python -m repro all``
 executes each benchmark exactly once.
 
-With ``cache_dir`` set, every expensive stage also persists on disk so
-it can be shared *across* processes:
+With ``cache_dir`` set, every persisted stage lives on disk in one
+format, the v5 manifest + page-aligned bank layout
+(:mod:`repro.experiments.store`), so it can be shared *across*
+processes: traces, classified columns and processed columns as banks a
+warm hit memory-maps read-only instead of deserializing, and
+per-architecture timing/power results as one ``results`` entry per
+(benchmark, architecture).  The per-event classified stream is not
+persisted: reclassifying a mapped trace is faster than unpickling it.
 
-* traces, classified columns and processed columns in the zero-copy v5
-  manifest/bank layout (:mod:`repro.experiments.store`) — a warm hit
-  memory-maps page-aligned ``.npy`` banks read-only instead of
-  deserializing them;
-* classified event streams and per-architecture timing/power results
-  as small pickle sidecars.
-
-Legacy v3 ``.npz`` traces are still read and upgraded to v5 in place;
-``transport="legacy"`` pins the old npz path (migration tests, the
-transport benchmark's reference arm).  Each cached artifact embeds a
-content fingerprint
+Each entry embeds a content fingerprint
 (:mod:`repro.experiments.cachekey`) covering the kernel, scale, warp
 size, architecture, GPU configuration and energy parameters; a
-mismatch — or any corrupt file — falls back to re-execution and
-overwrites the stale entry, and staleness is decided from the v5
-manifest (or a peek at a pickle sidecar's first bytes) without
-materializing payloads.  :meth:`ExperimentRunner.prefetch` fans the
-benchmark × architecture matrix out over a process pool
-(:mod:`repro.experiments.parallel`) that communicates through this
-cache plus shared-memory exports of already-materialized traces
-(:mod:`repro.experiments.shm`), and :attr:`ExperimentRunner.stats`
-counts cache hits, misses, re-executions, per-stage wall time and the
-transport byte counters (``bytes_mapped`` / ``bytes_copied`` /
-``bytes_deserialized``) for observability.
+mismatch, any damaged entry or a failed write only costs a
+recomputation, and staleness is decided from the manifest without
+opening a bank.  Files of older cache formats are never opened.
+:meth:`ExperimentRunner.prefetch` fans the benchmark × architecture
+matrix out over a process pool (:mod:`repro.experiments.parallel`) that
+communicates through this cache plus shared-memory exports of
+already-materialized traces (:mod:`repro.experiments.shm`), and
+:attr:`ExperimentRunner.stats` counts cache hits, misses,
+re-executions, per-stage wall time and the transport byte counters
+(``bytes_mapped`` / ``bytes_copied`` / ``bytes_deserialized``) for
+observability.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import re
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -51,7 +44,6 @@ from typing import Callable, Iterator, Sequence
 
 from repro.analysis.static_.widths import WIDTH_ANALYSIS_VERSION, analyze_widths
 from repro.config import ArchitectureConfig, GpuConfig
-from repro.errors import TraceError
 from repro.experiments import cachekey, store
 from repro.obs.instrument import record_columnar_warps
 from repro.obs.memory import record_bytes_in_flight, record_peak_rss
@@ -79,12 +71,7 @@ from repro.scalar.batch import (
 from repro.scalar.columns import ClassifiedColumns, ProcessedColumns
 from repro.scalar.tracker import ClassifiedEvent
 from repro.simt.executor import run_kernel
-from repro.simt.serialize import (
-    load_columnar,
-    load_columnar_v5,
-    save_columnar_v5,
-    save_trace,
-)
+from repro.simt.serialize import columnar_entry, load_columnar_v5
 from repro.simt.trace import (
     ColumnarTrace,
     KernelTrace,
@@ -106,14 +93,14 @@ from repro.workloads.synth import (
     synthetic_replicas,
 )
 
-#: Version of the pickled stage sidecars (classified streams and
-#: timing/power results).  Bump to invalidate all of them at once,
+#: Version of the cached stage entries (classified/processed columns
+#: and timing/power results).  Bump to invalidate all of them at once,
 #: e.g. when a classifier or timing-model change alters their meaning.
 #: Version 2: the batch classification engine became the default and
 #: the classified-stream fingerprint gained the engine name.
 #: Version 4: the columnar architecture/power engine became the default
 #: and the results fingerprint gained the arch-engine name (so the
-#: batch and event engines never replay each other's sidecars).
+#: batch and event engines never replay each other's results).
 #: Version 5: the event-driven SM timing engine became the default, the
 #: results fingerprint gained the SM-engine name, and the memory model's
 #: store path stopped allocating L1 lines (no-allocate stores change
@@ -124,31 +111,9 @@ from repro.workloads.synth import (
 #: ``stalls_per_scheduler``), changing the pickled timing-result shape.
 STAGE_VERSION = 6
 
-#: Cache transports.  ``mmap`` (default) reads and writes the v5
-#: manifest + page-aligned bank layout (:mod:`repro.experiments.store`)
-#: and opens banks as read-only memory maps — with transparent dual
-#: read of legacy v3 ``.npz`` traces, which are upgraded to v5 on their
-#: first hit.  ``legacy`` pins the pre-v5 compressed-npz/pickle forms,
-#: kept for migration tests and as the reference arm of
-#: ``bench --transport``.
-TRANSPORT_CHOICES = ("mmap", "legacy")
-DEFAULT_TRANSPORT = "mmap"
-
 #: Chunk size used when a synthetic (``synthetic_events > 0``) scale is
 #: streamed without an explicit ``--chunk-events``.
 DEFAULT_STREAM_CHUNK = 65536
-
-#: Pickle-protocol-aware fingerprint peek for legacy sidecars: the
-#: payload dicts are written fingerprint-first, so the SHORT_BINUNICODE
-#: key/value pair (``\x8c <len> bytes``, optionally memoized) sits in
-#: the first few dozen bytes of the file.  Matching it there lets the
-#: staleness check skip unpickling megabytes of stale payload.
-_PICKLE_FP_RE = re.compile(
-    rb"\x8c\x0bfingerprint\x94?\x8c"
-    + bytes([cachekey.DIGEST_CHARS])
-    + rb"([0-9a-f]{%d})" % cachekey.DIGEST_CHARS
-)
-_PICKLE_PEEK_BYTES = 512
 
 
 class _ChunkBankMiss(Exception):
@@ -157,13 +122,6 @@ class _ChunkBankMiss(Exception):
     Raised inside a warm streamed pass; carry state cannot restart
     mid-stream, so the handler recomputes the whole pass cold.
     """
-
-
-def _columnar_nbytes(columnar: ColumnarTrace) -> int:
-    """Total payload bytes of a columnar trace's arrays."""
-    from repro.simt.serialize import _ARRAY_FIELDS
-
-    return int(sum(getattr(columnar, name).nbytes for name in _ARRAY_FIELDS))
 
 
 def paper_architectures() -> tuple[ArchitectureConfig, ...]:
@@ -252,7 +210,7 @@ class RunnerStats:
 
         Accepts another :class:`RunnerStats`, a full :meth:`to_payload`
         dict (merged registry-to-registry, spans included), or the
-        legacy ``{"counters", "stage_seconds"}`` shape of
+        plain ``{"counters", "stage_seconds"}`` shape of
         :meth:`to_dict`.
         """
         if isinstance(other, RunnerStats):
@@ -308,7 +266,7 @@ class RunnerStats:
         The ``telemetry`` snapshot carries every counter, histogram and
         span the worker recorded (stage spans keep the worker's pid),
         so a parent merging payloads reassembles the full multi-process
-        timeline; the legacy keys stay for direct consumers.
+        timeline; the :meth:`to_dict` keys stay for direct consumers.
         """
         payload = self.to_dict()
         payload["telemetry"] = self.telemetry.snapshot()
@@ -319,11 +277,10 @@ class BenchmarkRun:
     """Cached functional-level artifacts of one benchmark.
 
     ``trace`` (the per-event form) and ``classified`` (the classified
-    event stream) are **lazy**: a cache hit hands back columnar arrays
-    — memory-mapped under the v5 transport — and neither the event
-    objects nor the classified pickle are materialized until something
-    actually reads them.  A fully warm run that replays its results
-    sidecars therefore never unpickles a single event.
+    event stream) are **lazy**: a cache hit hands back memory-mapped
+    columnar arrays, and no event object is built until something
+    actually reads one.  A fully warm run that replays its results
+    entries therefore never materializes a single event.
     """
 
     def __init__(
@@ -343,7 +300,7 @@ class BenchmarkRun:
         self.abbr = abbr
         self.built = built
         #: Content fingerprint of the (kernel, scale, warp-size)
-        #: combination that produced the trace; stage sidecars derive
+        #: combination that produced the trace; stage entries derive
         #: their keys from it.
         self.trace_fingerprint = trace_fingerprint
         self._columnar = columnar
@@ -416,7 +373,6 @@ class ExperimentRunner:
         classifier: str = DEFAULT_CLASSIFIER,
         arch_engine: str = DEFAULT_ARCH_ENGINE,
         sm_engine: str = DEFAULT_SM_ENGINE,
-        transport: str = DEFAULT_TRANSPORT,
         chunk_events: int | None = None,
     ):
         if scale not in SCALES:
@@ -430,11 +386,6 @@ class ExperimentRunner:
                     "batch arch engine (the per-event engines have no "
                     "chunk carry-state)"
                 )
-        if transport not in TRANSPORT_CHOICES:
-            raise ValueError(
-                f"unknown transport {transport!r}; known: "
-                f"{', '.join(TRANSPORT_CHOICES)}"
-            )
         if classifier not in CLASSIFIER_CHOICES:
             raise ValueError(
                 f"unknown classifier {classifier!r}; known: "
@@ -453,7 +404,6 @@ class ExperimentRunner:
         self.classifier = classifier
         self.arch_engine = arch_engine
         self.sm_engine = sm_engine
-        self.transport = transport
         self.chunk_events = chunk_events
         self.scale = SCALES[scale]
         self.config = config or GpuConfig()
@@ -510,70 +460,72 @@ class ExperimentRunner:
         suffix = "" if warp_size == 32 else f"_w{warp_size}"
         return f"{key}_{self.scale.name}{suffix}"
 
-    def _trace_path(self, key: str, warp_size: int) -> Path:
-        assert self.cache_dir is not None
-        return self.cache_dir / f"{self._trace_stem(key, warp_size)}.npz"
-
     def _stage_stem(self, key: str, stage: str) -> str:
         return f"{key}_{self.scale.name}_{stage}"
 
-    def _sidecar_path(self, key: str, stage: str) -> Path:
-        assert self.cache_dir is not None
-        return self.cache_dir / f"{self._stage_stem(key, stage)}.pkl"
+    def _load_banks(
+        self, stem: str, fingerprint: str, kind: str, counter: str | None = None
+    ) -> store.LoadedEntry | None:
+        """Open one v5 entry of ``kind``; ``None`` unless a clean hit.
 
-    @staticmethod
-    def _replace_into(tmp: Path, final: Path) -> None:
-        os.replace(tmp, final)
-
-    @staticmethod
-    def _peek_sidecar_fingerprint(path: Path) -> str | None:
-        """Extract a legacy sidecar's fingerprint from its first bytes.
-
-        ``None`` when the pattern isn't found (unreadable file, foreign
-        pickle protocol, reordered payload) — the caller then falls
-        back to the full unpickle-and-check, so the peek is purely an
-        optimization, never a correctness dependency.
+        Hits and misses count as ``{counter}_cache_hits``/``_misses``
+        (``counter`` defaults to ``kind``); a stale, damaged or
+        foreign-kind entry also counts as ``sidecar_invalid``.
         """
-        try:
-            with open(path, "rb") as handle:
-                head = handle.read(_PICKLE_PEEK_BYTES)
-        except OSError:
+        if self.cache_dir is None:
             return None
-        match = _PICKLE_FP_RE.search(head)
-        return match.group(1).decode() if match else None
-
-    def _load_sidecar(self, path: Path, fingerprint: str) -> dict | None:
-        """Read a pickle sidecar; ``None`` on absence, damage or staleness.
-
-        Staleness is decided from the fingerprint *peeked* out of the
-        file's first bytes whenever possible, so a stale entry is
-        rejected without deserializing its (potentially large) payload.
-        """
-        if not path.exists():
-            return None
-        peeked = self._peek_sidecar_fingerprint(path)
-        if peeked is not None and peeked != fingerprint:
-            self._log(f"discarding stale sidecar {path.name} (header peek)")
-            self.stats.bump("sidecar_stale_skipped")
+        counter = counter or kind
+        if self._bank_hints.get(stem) == fingerprint:
+            self.stats.bump("bank_hint_hits")
+        entry, status = store.load_entry(self.cache_dir, stem, fingerprint)
+        if status == "hit" and entry.kind == kind:
+            self.stats.bump(f"{counter}_cache_hits")
+            self.stats.bump("bytes_mapped", entry.bytes_mapped)
+            if entry.bytes_deserialized:
+                self.stats.bump("bytes_deserialized", entry.bytes_deserialized)
+            self._bank_hints[stem] = fingerprint
+            return entry
+        if status != "absent":
+            self._log(f"discarding {status} {kind} entry {stem}")
             self.stats.bump("sidecar_invalid")
-            return None
-        try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-            if payload.get("fingerprint") == fingerprint:
-                self.stats.bump("bytes_deserialized", path.stat().st_size)
-                return payload
-            self._log(f"discarding stale sidecar {path.name}")
-        except Exception as exc:
-            self._log(f"discarding corrupt sidecar {path.name}: {exc}")
-        self.stats.bump("sidecar_invalid")
+            if status == "corrupt":
+                store.drop_banks(self.cache_dir, stem, fingerprint)
+        self.stats.bump(f"{counter}_cache_misses")
         return None
 
-    def _store_sidecar(self, path: Path, payload: dict) -> None:
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        with open(tmp, "wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        self._replace_into(tmp, path)
+    def _store_banks(
+        self,
+        stem: str,
+        fingerprint: str,
+        kind: str,
+        meta: dict | None = None,
+        arrays: dict | None = None,
+        objects: dict | None = None,
+    ) -> None:
+        """Persist one v5 entry; every cache write goes through here.
+
+        A failed write (``ENOSPC``, a read-only directory, ...) is
+        logged and counted as ``cache_store_failed``, never raised: the
+        value being stored is already computed, and the missing entry
+        is only a later miss.
+        """
+        if self.cache_dir is None:
+            return
+        try:
+            store.store_entry(
+                self.cache_dir,
+                stem,
+                fingerprint=fingerprint,
+                kind=kind,
+                meta=meta,
+                arrays=arrays,
+                objects=objects,
+            )
+        except OSError as exc:
+            self._log(f"cache write of {stem} failed: {exc}")
+            self.stats.bump("cache_store_failed")
+            return
+        self._bank_hints[stem] = fingerprint
 
     # ------------------------------------------------------------------
     # Trace stage.
@@ -612,14 +564,12 @@ class ExperimentRunner:
         """Load a fingerprint-matching cached trace or execute and cache.
 
         A cache hit returns the :class:`ColumnarTrace` exactly as it
-        lies on disk — under the default ``mmap`` transport its arrays
-        are read-only memory maps of the v5 banks, so the hit copies
-        nothing.  Legacy v3 ``.npz`` entries are still read (and
-        upgraded to v5 in place) when no v5 entry exists.  Callers that
-        need the event form either hand it to the batch classifier
-        (which materializes events once, during classification) or call
-        ``.to_trace()`` themselves.  A cache miss executes and returns
-        the event-form :class:`KernelTrace` directly.
+        lies on disk — its arrays are read-only memory maps of the v5
+        banks, so the hit copies nothing.  Callers that need the event
+        form either hand it to the batch classifier (which materializes
+        events once, during classification) or call ``.to_trace()``
+        themselves.  A cache miss executes and returns the event-form
+        :class:`KernelTrace` directly.
         """
         fingerprint = cachekey.trace_fingerprint(built.kernel, self.scale, warp_size)
         if warp_size == 32:
@@ -630,47 +580,22 @@ class ExperimentRunner:
                 self._log(f"adopted shared-memory trace for {key}")
                 self._record_trace_hit(key, adopted[0])
                 return adopted[0], fingerprint
-        path = None
+        stem = self._trace_stem(key, warp_size)
         if self.cache_dir is not None:
-            stem = self._trace_stem(key, warp_size)
-            path = self._trace_path(key, warp_size)
-            if self.transport != "legacy":
-                with self.stats.timer(
-                    "trace_load", benchmark=key, warp_size=warp_size
-                ):
-                    columnar, status, entry = load_columnar_v5(
-                        self.cache_dir, stem, fingerprint
-                    )
-                if status == "hit":
-                    self.stats.bump("bytes_mapped", entry.bytes_mapped)
-                    self._log(f"mapped v5 trace for {key} (warp {warp_size})")
-                    self._record_trace_hit(key, columnar)
-                    return columnar, fingerprint
-                if status in ("stale", "corrupt"):
-                    self._log(f"discarding {status} v5 trace entry for {key}")
-                    self.stats.bump("trace_cache_invalid")
-            if path.exists():
-                try:
-                    with self.stats.timer("trace_load", benchmark=key, warp_size=warp_size):
-                        columnar = load_columnar(path, expected_fingerprint=fingerprint)
-                except TraceError as exc:
-                    self._log(f"discarding cached trace {path.name}: {exc}")
-                    self.stats.bump("trace_cache_invalid")
-                else:
-                    self.stats.bump("bytes_deserialized", _columnar_nbytes(columnar))
-                    self._log(f"loaded cached trace for {key} (warp {warp_size})")
-                    if self.transport != "legacy":
-                        # Write-through upgrade: the next hit on this
-                        # entry is a zero-copy map, not a decompress.
-                        with self.stats.timer(
-                            "trace_save", benchmark=key, warp_size=warp_size
-                        ):
-                            save_columnar_v5(
-                                columnar, self.cache_dir, stem, fingerprint
-                            )
-                        self.stats.bump("cache_migrated_v5")
-                    self._record_trace_hit(key, columnar)
-                    return columnar, fingerprint
+            with self.stats.timer("trace_load", benchmark=key, warp_size=warp_size):
+                columnar, status, entry = load_columnar_v5(
+                    self.cache_dir, stem, fingerprint
+                )
+            if status == "hit":
+                self.stats.bump("bytes_mapped", entry.bytes_mapped)
+                self._log(f"mapped v5 trace for {key} (warp {warp_size})")
+                self._record_trace_hit(key, columnar)
+                return columnar, fingerprint
+            if status != "absent":
+                self._log(f"discarding {status} v5 trace entry for {key}")
+                self.stats.bump("trace_cache_invalid")
+                if status == "corrupt":
+                    store.drop_banks(self.cache_dir, stem, fingerprint)
             self.stats.bump("trace_cache_misses")
         self._log(f"executing {key} at scale {self.scale.name!r} warp {warp_size}")
         self.stats.bump("trace_executions")
@@ -678,64 +603,36 @@ class ExperimentRunner:
             trace = run_kernel(
                 built.kernel, built.launch, built.memory, warp_size=warp_size
             )
-        if path is not None:
+        if self.cache_dir is not None:
             with self.stats.timer("trace_save", benchmark=key, warp_size=warp_size):
-                if self.transport == "legacy":
-                    # Write-then-rename so a concurrent reader never
-                    # sees a half-written archive (np.savez only
-                    # appends ".npz" to names lacking it, so the temp
-                    # name must keep the suffix).
-                    tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp.npz")
-                    save_trace(trace, tmp, fingerprint=fingerprint)
-                    self._replace_into(tmp, path)
-                else:
-                    save_columnar_v5(
-                        trace.to_columnar(), self.cache_dir, stem, fingerprint
-                    )
+                self._store_banks(
+                    stem, fingerprint, "trace", **columnar_entry(trace.to_columnar())
+                )
         return trace, fingerprint
 
     def _obtain_classified(
         self, run: BenchmarkRun
     ) -> list[list[ClassifiedEvent]]:
-        """Classified stream for one run (cached or computed).
+        """Classify one run's trace (never cached on disk).
 
         This is :class:`BenchmarkRun`'s lazy ``classified`` loader —
         nothing here executes until a consumer actually reads the
-        per-event stream, so a warm run that only replays results
-        sidecars (or only touches the columnar banks) never unpickles
-        the event list at all.  When the trace is columnar and the
-        batch engine is selected, classification runs straight off the
-        columnar arrays and materializes the event form as a by-product
-        — one object per event total, shared between ``run.trace`` and
-        the classified stream.
+        per-event stream.  When the trace is columnar (a mapped cache
+        hit) and the batch engine is selected, classification runs
+        straight off the columnar arrays and materializes the event
+        form as a by-product — one object per event total, shared
+        between ``run.trace`` and the classified stream.
         """
-        key = run.abbr
-        fingerprint = cachekey.classified_fingerprint(
-            run.trace_fingerprint, STAGE_VERSION, self.classifier
-        )
-        path = None
-        if self.cache_dir is not None:
-            path = self._sidecar_path(key, "classified")
-            payload = self._load_sidecar(path, fingerprint)
-            if payload is not None:
-                self.stats.bump("classified_cache_hits")
-                return payload["classified"]
-            self.stats.bump("classified_cache_misses")
-        with self.stats.timer("classify", benchmark=key):
+        with self.stats.timer("classify", benchmark=run.abbr):
             if run._trace is None and self.classifier == "batch":
                 trace, classified = classify_columnar_batch(
                     run.columnar, run.built.kernel.num_registers
                 )
                 run._trace = trace
-            else:
-                classified = classify_trace_with(
-                    run.trace, run.built.kernel.num_registers, self.classifier
-                )
-        if path is not None:
-            self._store_sidecar(
-                path, {"fingerprint": fingerprint, "classified": classified}
+                return classified
+            return classify_trace_with(
+                run.trace, run.built.kernel.num_registers, self.classifier
             )
-        return classified
 
     # ------------------------------------------------------------------
     def benchmark_names(self) -> list[str]:
@@ -745,9 +642,8 @@ class ExperimentRunner:
     def run(self, abbr: str) -> BenchmarkRun:
         """Execute (or fetch) one benchmark's functional trace.
 
-        With ``cache_dir`` set, traces persist across processes as
-        ``.npz`` files and classified streams as pickle sidecars, both
-        validated against a content fingerprint before reuse.
+        With ``cache_dir`` set, traces persist across processes as v5
+        entries validated against a content fingerprint before reuse.
         """
         key = self._normalize(abbr)
         if key not in self._runs:
@@ -825,7 +721,7 @@ class ExperimentRunner:
         Architecture-independent (a pure function of the kernel), cached
         per benchmark and fed to the ``static_compress`` interpretation
         by both engines.  Cheap relative to tracing, so it is recomputed
-        per process rather than persisted; the results sidecars it feeds
+        per process rather than persisted; the results entries it feeds
         are keyed on :data:`~repro.analysis.static_.widths.WIDTH_ANALYSIS_VERSION`.
         """
         key = self._normalize(abbr)
@@ -866,54 +762,12 @@ class ExperimentRunner:
         if hints:
             self.stats.bump("bank_hints_adopted", len(hints))
 
-    def _load_column_banks(self, stem: str, fingerprint: str, kind: str):
-        """Open one v5 column-bank entry; ``None`` unless a clean hit."""
-        if self.cache_dir is None or self.transport == "legacy":
-            return None
-        if self._bank_hints.get(stem) == fingerprint:
-            self.stats.bump("bank_hint_hits")
-        entry, status = store.load_entry(self.cache_dir, stem, fingerprint)
-        if status == "hit" and entry.kind == kind:
-            self.stats.bump(f"{kind}_cache_hits")
-            self.stats.bump("bytes_mapped", entry.bytes_mapped)
-            self._bank_hints[stem] = fingerprint
-            return entry
-        if status == "hit" or status in ("stale", "corrupt"):
-            self._log(f"discarding {status} {kind} banks {stem}")
-            self.stats.bump("sidecar_invalid")
-        self.stats.bump(f"{kind}_cache_misses")
-        return None
-
-    def _store_column_banks(
-        self,
-        stem: str,
-        fingerprint: str,
-        kind: str,
-        warp_size: int,
-        arrays,
-        extra_meta: dict | None = None,
-    ) -> None:
-        if self.cache_dir is None or self.transport == "legacy":
-            return
-        meta = {"warp_size": int(warp_size)}
-        if extra_meta:
-            meta.update(extra_meta)
-        store.store_entry(
-            self.cache_dir,
-            stem,
-            fingerprint=fingerprint,
-            kind=kind,
-            meta=meta,
-            arrays=arrays,
-        )
-        self._bank_hints[stem] = fingerprint
-
     def classified_columns(self, abbr: str) -> ClassifiedColumns:
         """Columnar classified stream (architecture-independent, shared
         by every architecture's batch interpretation).
 
         Persisted as v5 ``ccols`` banks: a warm hit maps the arrays
-        read-only and never touches the classified event pickle.
+        read-only and never classifies.
         """
         key = self._normalize(abbr)
         if key not in self._classified_columns:
@@ -922,7 +776,7 @@ class ExperimentRunner:
                 run.trace_fingerprint, STAGE_VERSION, self.classifier
             )
             stem = self._stage_stem(key, "ccols")
-            entry = self._load_column_banks(stem, fingerprint, "ccols")
+            entry = self._load_banks(stem, fingerprint, "ccols")
             if entry is not None:
                 self._classified_columns[key] = ClassifiedColumns.from_arrays(
                     int(entry.meta["warp_size"]), entry.arrays
@@ -932,8 +786,12 @@ class ExperimentRunner:
                 ccols = ClassifiedColumns.from_classified(
                     run.classified, run.warp_size, columnar=run.columnar
                 )
-            self._store_column_banks(
-                stem, fingerprint, "ccols", ccols.warp_size, ccols.as_arrays()
+            self._store_banks(
+                stem,
+                fingerprint,
+                "ccols",
+                meta={"warp_size": int(ccols.warp_size)},
+                arrays=ccols.as_arrays(),
             )
             self._classified_columns[key] = ccols
         return self._classified_columns[key]
@@ -961,7 +819,7 @@ class ExperimentRunner:
                 ),
             )
             stem = self._stage_stem(key[0], f"pcols_{arch.name}")
-            entry = self._load_column_banks(stem, fingerprint, "pcols")
+            entry = self._load_banks(stem, fingerprint, "pcols")
             if entry is not None:
                 self._processed_columns[key] = ProcessedColumns.from_arrays(
                     int(entry.meta["warp_size"]), entry.arrays
@@ -971,8 +829,12 @@ class ExperimentRunner:
             widths = self._widths_for(key[0], arch)
             with self.stats.timer("process", benchmark=key[0], arch=arch.name):
                 pcols = process_columns(ccols, arch, static_widths=widths)
-            self._store_column_banks(
-                stem, fingerprint, "pcols", pcols.warp_size, pcols.as_arrays()
+            self._store_banks(
+                stem,
+                fingerprint,
+                "pcols",
+                meta={"warp_size": int(pcols.warp_size)},
+                arrays=pcols.as_arrays(),
             )
             self._processed_columns[key] = pcols
         return self._processed_columns[key]
@@ -992,28 +854,30 @@ class ExperimentRunner:
         )
 
     def _load_results(self, key: str, arch: ArchitectureConfig) -> bool:
-        """Try the timing/power sidecar; ``True`` when both were restored."""
+        """Try the timing/power entry; ``True`` when both were restored."""
         if self.cache_dir is None:
             return False
-        run = self.run(key)
-        path = self._sidecar_path(key, f"results_{arch.name}")
-        payload = self._load_sidecar(path, self._results_fingerprint(run, arch))
-        if payload is None:
-            self.stats.bump("result_cache_misses")
+        entry = self._load_banks(
+            self._stage_stem(key, f"results_{arch.name}"),
+            self._results_fingerprint(self.run(key), arch),
+            "results",
+            counter="result",
+        )
+        if entry is None:
             return False
-        self._timing[(key, arch.name)] = payload["timing"]
-        self._power[(key, arch.name)] = payload["power"]
-        self.stats.bump("result_cache_hits")
+        self._timing[(key, arch.name)] = entry.objects["timing"]
+        self._power[(key, arch.name)] = entry.objects["power"]
         return True
 
     def _store_results(self, key: str, arch: ArchitectureConfig) -> None:
+        """One v5 ``results`` entry per (benchmark, architecture)."""
         if self.cache_dir is None:
             return
-        run = self.run(key)
-        self._store_sidecar(
-            self._sidecar_path(key, f"results_{arch.name}"),
-            {
-                "fingerprint": self._results_fingerprint(run, arch),
+        self._store_banks(
+            self._stage_stem(key, f"results_{arch.name}"),
+            self._results_fingerprint(self.run(key), arch),
+            "results",
+            objects={
                 "timing": self._timing[(key, arch.name)],
                 "power": self._power[(key, arch.name)],
             },
@@ -1076,7 +940,7 @@ class ExperimentRunner:
 
     def _warm_chunk_index(self, key: str, fingerprint: str) -> dict | None:
         """The chunk-grid index entry's meta, on a clean hit only."""
-        if self.cache_dir is None or self.transport == "legacy":
+        if self.cache_dir is None:
             return None
         entry, status = store.load_entry(
             self.cache_dir, self._chunk_index_stem(key), fingerprint
@@ -1097,7 +961,7 @@ class ExperimentRunner:
         missing chunk halfway through (carry state cannot restart
         mid-stream; a miss would force a full recompute anyway).
         """
-        if self.cache_dir is None or self.transport == "legacy":
+        if self.cache_dir is None:
             return False
         for stem in stems:
             if self._bank_hints.get(stem) == fingerprint:
@@ -1136,7 +1000,7 @@ class ExperimentRunner:
                 ]
                 if self._chunks_all_present(stems, fingerprint):
                     for stem in stems:
-                        entry = self._load_column_banks(stem, fingerprint, "ccols")
+                        entry = self._load_banks(stem, fingerprint, "ccols")
                         if entry is None:
                             raise _ChunkBankMiss(stem)
                         yield entry.meta, ClassifiedColumns.from_arrays(
@@ -1162,29 +1026,25 @@ class ExperimentRunner:
                 "first_warp_continued": bool(chunk.first_warp_continued),
                 "last_warp_continues": bool(chunk.last_warp_continues),
             }
-            self._store_column_banks(
+            self._store_banks(
                 self._chunk_stem(key, "ccols", chunk.index),
                 fingerprint,
                 "ccols",
-                ccols.warp_size,
-                ccols.as_arrays(),
-                extra_meta=meta,
+                meta=meta,
+                arrays=ccols.as_arrays(),
             )
             chunk_metas.append(meta)
             yield meta, ccols
-        if self.cache_dir is not None and self.transport != "legacy":
-            store.store_entry(
-                self.cache_dir,
-                self._chunk_index_stem(key),
-                fingerprint=fingerprint,
-                kind="ckidx",
-                meta={
-                    "chunk_events": int(self.chunk_events),
-                    "num_chunks": len(chunk_metas),
-                    "chunks": chunk_metas,
-                },
-            )
-            self._bank_hints[self._chunk_index_stem(key)] = fingerprint
+        self._store_banks(
+            self._chunk_index_stem(key),
+            fingerprint,
+            "ckidx",
+            meta={
+                "chunk_events": int(self.chunk_events),
+                "num_chunks": len(chunk_metas),
+                "chunks": chunk_metas,
+            },
+        )
 
     def _stream_arch_pass(
         self, key: str, arch: ArchitectureConfig, force_cold: bool = False
@@ -1225,7 +1085,7 @@ class ExperimentRunner:
         for meta, ccols in self._iter_ccols_fragments(key, force_cold=force_cold):
             warp_start = int(meta["warp_start"])
             if pcols_warm:
-                entry = self._load_column_banks(
+                entry = self._load_banks(
                     self._chunk_stem(key, f"pcols_{arch.name}", int(meta["index"])),
                     pfp,
                     "pcols",
@@ -1246,13 +1106,16 @@ class ExperimentRunner:
                         last_warp_continues=bool(meta["last_warp_continues"]),
                         static_widths=widths,
                     )
-                self._store_column_banks(
+                self._store_banks(
                     self._chunk_stem(key, f"pcols_{arch.name}", int(meta["index"])),
                     pfp,
                     "pcols",
-                    pcols.warp_size,
-                    pcols.as_arrays(),
-                    extra_meta={"warp_start": warp_start, "index": int(meta["index"])},
+                    meta={
+                        "warp_size": int(pcols.warp_size),
+                        "warp_start": warp_start,
+                        "index": int(meta["index"]),
+                    },
+                    arrays=pcols.as_arrays(),
                 )
             agg.merge(accountant.aggregates_from_columns(pcols, warp_base=warp_start))
             fragments = build_timing_ops_columns(ccols, pcols, arch, self.config)
@@ -1321,7 +1184,7 @@ class ExperimentRunner:
     ) -> TimingResult:
         """Re-run timing with a flight recorder threaded through.
 
-        Always simulates (never replays a sidecar — recorded events
+        Always simulates (never replays a results entry — recorded events
         cannot come from a cache) and never stores the result, so the
         recorded run cannot pollute the recorder-free result cache.
         ``sm_engine`` overrides the runner's engine for one run (the
@@ -1479,7 +1342,6 @@ class ExperimentRunner:
                         classifier=self.classifier,
                         arch_engine=self.arch_engine,
                         sm_engine=self.sm_engine,
-                        transport=self.transport,
                         chunk_events=self.chunk_events,
                         shm_handles=handles or None,
                         bank_hints=bank_hints or None,

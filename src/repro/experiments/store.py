@@ -1,11 +1,9 @@
 """v5 zero-copy cache store: JSON manifests + page-aligned ``.npy`` banks.
 
-The v3/v4 cache paid full (de)serialization on every *hit*: traces came
-out of compressed ``.npz`` archives and the stage sidecars were
-whole-object pickles, re-read independently by every ``run_matrix``
-worker.  The v5 layout stores the big arrays of a cache entry as
-uncompressed, page-aligned ``.npy`` files — *banks* — plus one small
-JSON *manifest* per entry:
+This is the experiment cache's only on-disk format.  Every entry stores
+its big arrays as uncompressed, page-aligned ``.npy`` files — *banks* —
+plus one small JSON *manifest*, so a hit costs no (de)serialization of
+array data however many ``run_matrix`` workers read it:
 
 * ``<stem>.v5.json`` — the manifest: layout version, content
   fingerprint, per-array schema (name, dtype, shape, file, nbytes) and
@@ -14,7 +12,7 @@ JSON *manifest* per entry:
 * ``<stem>.<fingerprint>.v5/`` — the bank directory named after the
   manifest's fingerprint, one ``.npy`` file per array (data offset
   padded to :data:`PAGE_ALIGN`) plus one ``.pkl`` file per small
-  pickled object (timing/power results).
+  pickled object (the timing/power results of a ``results`` entry).
 
 A cache hit opens the banks with ``np.load(..., mmap_mode="r")``:
 readers get read-only memory-mapped views — the OS pages data in on
@@ -39,6 +37,12 @@ memory-mapped views of the old banks keeps reading consistent data
 orphans and are reclaimed by :func:`sweep_orphans`, which also clears
 ``*.tmp`` debris left by crashed writers; both sweeps are age-gated so
 a live writer's work-in-progress is never swept from under it.
+
+Files left by older cache formats (``.npz`` traces, ``.pkl`` sidecars)
+are never opened, swept or migrated: the cache can always be
+recomputed, the cache directory may hold user files, and
+:func:`scan_cache` reports such files as ``other``.  Delete them by
+hand.
 """
 
 from __future__ import annotations
@@ -57,8 +61,7 @@ from typing import Any
 import numpy as np
 
 #: Version of the manifest/bank cache layout.  Entries written by a
-#: different layout are ignored (the reader falls back to the legacy
-#: v3 ``.npz`` / v4 pickle forms, then to recomputation).
+#: different layout are ignored (the reader recomputes them).
 CACHE_LAYOUT_VERSION = 5
 
 #: Bank ``.npy`` headers are padded so array data starts on a page
@@ -145,7 +148,9 @@ def store_entry(
     ``arrays`` become page-aligned ``.npy`` banks (zero-size arrays are
     recorded in the manifest only), ``objects`` become pickle banks for
     small structured payloads (timing/power results).  Writes follow
-    the write-then-rename discipline described in the module docstring.
+    the write-then-rename discipline described in the module docstring;
+    a bank write that raises (``ENOSPC``, ...) removes the temp bank
+    directory before the exception propagates.
     """
     cache_dir = Path(cache_dir)
     arrays = arrays or {}
@@ -157,40 +162,41 @@ def store_entry(
     tmp_dir.mkdir(parents=True)
 
     array_entries = []
-    for name, array in arrays.items():
-        entry = {
-            "name": name,
-            "dtype": np.lib.format.dtype_to_descr(np.asarray(array).dtype),
-            "shape": [int(dim) for dim in np.asarray(array).shape],
-        }
-        if np.asarray(array).size == 0:
-            entry["file"] = None
-            entry["nbytes"] = 0
-        else:
-            entry["file"] = f"{name}.npy"
-            entry["nbytes"], entry["offset"] = write_aligned_npy(
-                tmp_dir / f"{name}.npy", array
-            )
-        array_entries.append(entry)
     object_entries = []
-    for name, payload in objects.items():
-        filename = f"{name}.pkl"
-        with open(tmp_dir / filename, "wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        object_entries.append({"name": name, "file": filename})
-
-    if final_dir.exists():
-        # Another writer already landed banks for this exact
-        # fingerprint; the content is identical by construction.
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-    else:
-        try:
-            os.rename(tmp_dir, final_dir)
-        except OSError:
-            if final_dir.exists():  # lost the rename race — same story
-                shutil.rmtree(tmp_dir, ignore_errors=True)
+    try:
+        for name, array in arrays.items():
+            entry = {
+                "name": name,
+                "dtype": np.lib.format.dtype_to_descr(np.asarray(array).dtype),
+                "shape": [int(dim) for dim in np.asarray(array).shape],
+            }
+            if np.asarray(array).size == 0:
+                entry["file"] = None
+                entry["nbytes"] = 0
             else:
-                raise
+                entry["file"] = f"{name}.npy"
+                entry["nbytes"], entry["offset"] = write_aligned_npy(
+                    tmp_dir / f"{name}.npy", array
+                )
+            array_entries.append(entry)
+        for name, payload in objects.items():
+            filename = f"{name}.pkl"
+            with open(tmp_dir / filename, "wb") as handle:
+                pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            object_entries.append({"name": name, "file": filename})
+        if not final_dir.exists():
+            try:
+                os.rename(tmp_dir, final_dir)
+            except OSError:
+                if not final_dir.exists():
+                    raise
+    except BaseException:
+        shutil.rmtree(tmp_dir, ignore_errors=True)
+        raise
+    # A no-op after our rename; otherwise another writer already landed
+    # banks for this exact fingerprint (identical by construction, so
+    # losing the race is harmless) and our temp copy goes.
+    shutil.rmtree(tmp_dir, ignore_errors=True)
 
     manifest = {
         "layout": CACHE_LAYOUT_VERSION,
@@ -208,6 +214,19 @@ def store_entry(
         handle.write("\n")
     os.replace(tmp_manifest, final_manifest)
     return final_manifest
+
+
+def drop_banks(cache_dir: str | Path, stem: str, fingerprint: str) -> None:
+    """Remove the bank directory of ``stem`` at ``fingerprint``.
+
+    :func:`store_entry` keeps an existing bank directory of the same
+    fingerprint (a concurrent writer's identical banks), so a caller
+    that found those banks damaged drops them before rewriting the
+    entry.  A reader still mapping them keeps its pages.
+    """
+    shutil.rmtree(
+        Path(cache_dir) / bank_dir_name(stem, fingerprint), ignore_errors=True
+    )
 
 
 # ----------------------------------------------------------------------
@@ -266,7 +285,7 @@ def load_entry(
     ``status`` is ``"hit"`` (entry returned), ``"absent"`` (no v5
     manifest), ``"stale"`` (fingerprint mismatch — payloads untouched)
     or ``"corrupt"`` (manifest or banks damaged).  Callers recover by
-    falling back to the legacy layout or recomputing; nothing raises.
+    recomputing; nothing raises.
     """
     cache_dir = Path(cache_dir)
     if not manifest_path(cache_dir, stem).exists():
@@ -376,8 +395,7 @@ def sweep_orphans(
 
     Removes, when older than ``age_seconds``:
 
-    * ``*.tmp`` / ``*.tmp.npz`` files (half-written legacy archives,
-      pickle sidecars and manifests abandoned before their rename), and
+    * ``*.tmp`` files (manifests abandoned before their rename) and
       ``*.tmp`` bank directories;
     * fingerprint-named ``*.v5`` bank directories whose manifest is
       missing or now points at a different fingerprint (an entry
@@ -400,7 +418,7 @@ def sweep_orphans(
             continue
         if mtime > cutoff:
             continue
-        if name.endswith(".tmp") or name.endswith(".tmp.npz"):
+        if name.endswith(".tmp"):
             size = _tree_bytes(child)
             try:
                 if child.is_dir():
@@ -428,19 +446,15 @@ def sweep_orphans(
     return stats
 
 
-#: Legacy filename shapes recognized by :func:`scan_cache`.
-_LEGACY_RESULTS_RE = re.compile(r"_results_[^.]+\.pkl$")
-_LEGACY_CLASSIFIED_RE = re.compile(r"_classified\.pkl$")
-
-
 def scan_cache(cache_dir: str | Path) -> dict:
     """Inventory a cache directory: per-stage entry counts and bytes.
 
-    Returns a JSON-ready dict: ``stages`` maps a stage label (v5 kinds
-    like ``trace``/``ccols``/``pcols``/``results`` and legacy labels
-    like ``trace_npz``/``classified_pickle``/``results_pickle``) to
-    ``{"entries": n, "bytes": b}``; ``orphans`` counts ``*.tmp`` debris
-    and unreferenced bank directories still awaiting a sweep.
+    Returns a JSON-ready dict: ``stages`` maps an entry kind
+    (``trace``/``ccols``/``pcols``/``results``/``ckidx``) to
+    ``{"entries": n, "bytes": b}``, with every other file (older cache
+    formats, user files) counted under ``other``; ``orphans`` counts
+    ``*.tmp`` debris and unreferenced bank directories still awaiting
+    a sweep.
     """
     cache_dir = Path(cache_dir)
     stages: dict[str, dict[str, int]] = {}
@@ -459,7 +473,7 @@ def scan_cache(cache_dir: str | Path) -> dict:
         name = child.name
         size = _tree_bytes(child)
         total += size
-        if name.endswith(".tmp") or name.endswith(".tmp.npz"):
+        if name.endswith(".tmp"):
             orphans["tmp_files"] += 1
             orphans["tmp_bytes"] += size
             continue
@@ -480,16 +494,7 @@ def scan_cache(cache_dir: str | Path) -> dict:
             else:
                 bump(manifest.get("kind", "unknown"), 0, size)
             continue
-        if name.endswith(".npz"):
-            bump("trace_npz", 1, size)
-        elif _LEGACY_CLASSIFIED_RE.search(name):
-            bump("classified_pickle", 1, size)
-        elif _LEGACY_RESULTS_RE.search(name):
-            bump("results_pickle", 1, size)
-        elif name.endswith(".pkl"):
-            bump("other_pickle", 1, size)
-        else:
-            bump("other", 1, size)
+        bump("other", 1, size)
     return {
         "cache_dir": str(cache_dir),
         "stages": {k: dict(v) for k, v in sorted(stages.items())},

@@ -270,28 +270,26 @@ def measure_transport(
 ) -> dict:
     """Median cache-transport seconds per arm for one benchmark.
 
-    Times the trace transport itself — the serialization layer the
+    Times the trace transport itself — the v5 layer the
     :class:`~repro.experiments.runner.ExperimentRunner` cache sits on —
     with the kernel executed once up front so workload construction
     never pollutes the warm arms:
 
     * **cold miss** — execute the kernel and write a fresh v5 entry:
-      what a cache miss costs, for context.
-    * **legacy warm hit** — :func:`~repro.simt.serialize.load_columnar`
-      on the v3 ``.npz`` archive: decompress and copy every array.
+      what a cache miss costs.
     * **mmap warm hit** — :func:`~repro.simt.serialize.
       load_columnar_v5`: map the page-aligned banks read-only.  Two
       numbers: the lazy map alone (``mmap_warm_seconds``, what a
-      sidecar-replay run pays — results replay without ever faulting
+      results-replay run pays — results replay without ever faulting
       the trace pages in) and the map plus a full read of every array
       (``mmap_warm_touch_seconds``, the worst case where a consumer
       touches every page).
 
     The reported ``speedup`` — the number the perf-smoke gate pins —
-    is deliberately the *conservative* ratio, legacy-warm over
-    mmap-warm-**touch**: even charged for faulting in every page, the
-    map must beat the decompress.  An equivalence gate pins the two
-    warm traces bit-identical array by array before any timing.
+    is deliberately the *conservative* ratio, cold-miss over
+    mmap-warm-**touch**: what a hit saves even when charged for
+    faulting in every page.  The mapped trace is checked bit-identical
+    to the executed one, array by array, before any timing.
     """
     import tempfile
     from pathlib import Path
@@ -300,10 +298,8 @@ def measure_transport(
 
     from repro.simt.serialize import (
         _ARRAY_FIELDS,
-        load_columnar,
         load_columnar_v5,
         save_columnar_v5,
-        save_trace,
     )
 
     built = build_workload(benchmark, scale)
@@ -312,28 +308,25 @@ def measure_transport(
     fingerprint = "bench-transport"
     with tempfile.TemporaryDirectory(prefix="bench-transport-") as root:
         root_path = Path(root)
-        npz_path = root_path / f"{benchmark}.npz"
-        save_trace(trace, npz_path, fingerprint=fingerprint)
         save_columnar_v5(columnar, root_path, benchmark, fingerprint)
 
         # Equivalence gate: the mapped v5 trace is bit-identical to the
-        # decompressed legacy one, or the timings are meaningless.
-        legacy_columnar = load_columnar(npz_path, expected_fingerprint=fingerprint)
+        # executed one, or the timings are meaningless.
         mapped_columnar, status, _ = load_columnar_v5(
             root_path, benchmark, fingerprint
         )
         assert status == "hit", f"{benchmark}: v5 entry unreadable ({status})"
         for name in _ARRAY_FIELDS:
             if not np.array_equal(
-                getattr(legacy_columnar, name), getattr(mapped_columnar, name)
+                getattr(columnar, name), getattr(mapped_columnar, name)
             ):
                 raise AssertionError(
-                    f"{benchmark}: transports disagree on trace array {name!r}"
+                    f"{benchmark}: mapped trace differs on array {name!r}"
                 )
         trace_bytes = sum(
             int(getattr(mapped_columnar, name).nbytes) for name in _ARRAY_FIELDS
         )
-        del legacy_columnar, mapped_columnar
+        del mapped_columnar
 
         cold_index = 0
 
@@ -347,9 +340,6 @@ def measure_transport(
                 benchmark,
                 fingerprint,
             )
-
-        def legacy_warm() -> None:
-            load_columnar(npz_path, expected_fingerprint=fingerprint)
 
         def mmap_warm() -> None:
             loaded, loaded_status, _ = load_columnar_v5(
@@ -368,7 +358,6 @@ def measure_transport(
                     array.any() if array.dtype == np.bool_ else array.sum()
 
         cold_seconds = _median_seconds(cold_miss, repeats, warmup)
-        legacy_seconds = _median_seconds(legacy_warm, repeats, warmup)
         mmap_seconds = _median_seconds(mmap_warm, repeats, warmup)
         touch_seconds = _median_seconds(mmap_warm_touch, repeats, warmup)
     return {
@@ -379,10 +368,9 @@ def measure_transport(
         "events": trace.total_instructions,
         "trace_bytes": trace_bytes,
         "cold_miss_seconds": round(cold_seconds, 6),
-        "legacy_warm_seconds": round(legacy_seconds, 6),
         "mmap_warm_seconds": round(mmap_seconds, 6),
         "mmap_warm_touch_seconds": round(touch_seconds, 6),
-        "speedup": round(legacy_seconds / touch_seconds, 3),
+        "speedup": round(cold_seconds / touch_seconds, 3),
     }
 
 
@@ -625,10 +613,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--transport",
         action="store_true",
-        help="benchmark cache transports instead of engines: cold miss "
-        "(execute + write) vs legacy warm hit (npz decompress) vs mmap "
-        "warm hit (v5 zero-copy map); speedup is legacy-warm over "
-        "mmap-warm",
+        help="benchmark the cache transport instead of engines: cold "
+        "miss (execute + write) vs mmap warm hit (v5 zero-copy map); "
+        "speedup is cold-miss over mmap-warm-touch",
     )
     parser.add_argument(
         "--streaming",

@@ -30,8 +30,8 @@ class TestExecuteTask:
         assert stats["counters"]["trace_executions"] == 2  # warp 32 + 64
         assert (tmp_path / "HS_tiny.v5.json").exists()
         assert (tmp_path / "HS_tiny_w64.v5.json").exists()
-        assert (tmp_path / "HS_tiny_classified.pkl").exists()
-        assert (tmp_path / "HS_tiny_results_baseline.pkl").exists()
+        assert (tmp_path / "HS_tiny_results_baseline.v5.json").exists()
+        assert not list(tmp_path.glob("*.pkl"))
 
 
 class TestRunMatrix:

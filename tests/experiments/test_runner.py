@@ -1,5 +1,10 @@
 """Tests for the caching experiment runner."""
 
+import errno
+import pickle
+import shutil
+from unittest import mock
+
 import pytest
 
 from repro.config import ArchitectureConfig
@@ -51,6 +56,10 @@ class TestRunner:
     def test_unknown_scale_rejected(self):
         with pytest.raises(ValueError):
             ExperimentRunner(scale="nope")
+
+    def test_transport_option_is_gone(self, tmp_path):
+        with pytest.raises(TypeError):
+            ExperimentRunner(scale="tiny", cache_dir=tmp_path, transport="mmap")
 
 
 class TestRunnerStats:
@@ -153,18 +162,19 @@ class TestTraceCache:
         arch = ArchitectureConfig.gscalar()
         seeded = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
         expected = seeded.power("HS", arch).ipc_per_watt
-        (tmp_path / "HS_tiny_classified.pkl").write_bytes(b"junk")
-        (tmp_path / f"HS_tiny_results_{arch.name}.pkl").write_bytes(b"junk")
+        for bank in tmp_path.glob(f"HS_tiny_results_{arch.name}.*.v5/*.pkl"):
+            bank.write_bytes(b"junk")
         runner = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
         assert runner.power("HS", arch).ipc_per_watt == expected
-        assert runner.stats.counters["sidecar_invalid"] >= 2
+        assert runner.stats.counters["sidecar_invalid"] >= 1
+        assert runner.stats.counters["result_cache_misses"] >= 1
 
     def test_result_sidecars_replay_timing_and_power(self, tmp_path):
         arch = ArchitectureConfig.gscalar()
         seeded = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
         timing = seeded.timing("HS", arch)
         power = seeded.power("HS", arch)
-        assert (tmp_path / f"HS_tiny_results_{arch.name}.pkl").exists()
+        assert (tmp_path / f"HS_tiny_results_{arch.name}.v5.json").exists()
         warm = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
         assert warm.power("HS", arch).ipc_per_watt == power.ipc_per_watt
         assert warm.timing("HS", arch).cycles == timing.cycles
@@ -185,9 +195,9 @@ class TestTraceCache:
         assert tweaked.stats.counters["result_cache_misses"] >= 1
 
     def test_stale_sidecar_skipped_without_unpickling(self, tmp_path):
-        """A result sidecar left by different energy params is rejected
-        from its peeked fingerprint alone — counted separately from
-        damage, because no payload was materialized to find out."""
+        """A results entry left by different energy params is rejected
+        from its manifest's fingerprint alone: no pickled payload is
+        read to find out."""
         from repro.power.energy import EnergyParams
 
         arch = ArchitectureConfig.gscalar()
@@ -197,59 +207,105 @@ class TestTraceCache:
             scale="tiny", cache_dir=tmp_path, params=EnergyParams(alu_lane_pj=99.0)
         )
         tweaked.power("HS", arch)
-        assert tweaked.stats.counters["sidecar_stale_skipped"] >= 1
+        assert tweaked.stats.counters["sidecar_invalid"] >= 1
+        assert tweaked.stats.counters.get("bytes_deserialized", 0) == 0
 
 
-class TestTransport:
-    def test_unknown_transport_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="transport"):
-            ExperimentRunner(scale="tiny", cache_dir=tmp_path, transport="carrier-pigeon")
+ARCH = ArchitectureConfig.gscalar()
 
-    def test_legacy_transport_writes_npz(self, tmp_path):
-        legacy = ExperimentRunner(scale="tiny", cache_dir=tmp_path, transport="legacy")
-        legacy.run("HS")
-        assert (tmp_path / "HS_tiny.npz").exists()
-        assert not (tmp_path / "HS_tiny.v5.json").exists()
-        warm = ExperimentRunner(scale="tiny", cache_dir=tmp_path, transport="legacy")
-        warm.run("HS")
-        assert warm.stats.trace_executions == 0
-        assert warm.stats.counters["trace_cache_hits"] == 1
-        assert warm.stats.counters["bytes_deserialized"] > 0
-        assert warm.stats.counters.get("bytes_mapped", 0) == 0
 
-    def test_legacy_npz_migrates_to_v5(self, tmp_path):
-        legacy = ExperimentRunner(scale="tiny", cache_dir=tmp_path, transport="legacy")
-        expected = legacy.run("HS").trace.total_instructions
-        # First mmap-transport open reads the npz once and writes the
-        # entry through to v5 — no re-execution.
-        migrator = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        assert migrator.run("HS").trace.total_instructions == expected
-        assert migrator.stats.trace_executions == 0
-        assert migrator.stats.counters["cache_migrated_v5"] == 1
-        assert (tmp_path / "HS_tiny.v5.json").exists()
-        # From then on the hit is a zero-copy map, not a decompress.
+@pytest.fixture(scope="module")
+def reference():
+    """HS on G-Scalar from a cache-less runner."""
+    runner = ExperimentRunner(scale="tiny")
+    return runner.timing("HS", ARCH), runner.power("HS", ARCH)
+
+
+def _truncate_trace_bank(cache, runner):
+    (bank,) = cache.glob("HS_tiny.*.v5/values.npy")
+    bank.write_bytes(bank.read_bytes()[: bank.stat().st_size // 2])
+
+
+def _delete_results_banks(cache, runner):
+    (bank_dir,) = cache.glob(f"HS_tiny_results_{ARCH.name}.*.v5")
+    shutil.rmtree(bank_dir)
+
+
+def _garbage_timing_object(cache, runner):
+    (bank,) = cache.glob(f"HS_tiny_results_{ARCH.name}.*.v5/timing.pkl")
+    bank.write_bytes(b"garbage")
+
+
+def _old_format_debris(cache, runner):
+    """Files an older cache format left: a v3 trace archive and a
+    results pickle that would replay a wrong result if it were read."""
+    shutil.rmtree(cache)
+    cache.mkdir()
+    (cache / "HS_tiny.npz").write_bytes(b"old trace archive")
+    timing, power = runner.timing("HS", ARCH), runner.power("HS", ARCH)
+    payload = {
+        "fingerprint": runner._results_fingerprint(runner.run("HS"), ARCH),
+        "timing": timing,
+        "power": power.__class__(**{**vars(power), "cycles": power.cycles + 1}),
+    }
+    (cache / f"HS_tiny_results_{ARCH.name}.pkl").write_bytes(pickle.dumps(payload))
+
+
+class TestCacheDamage:
+    """Every damaged or foreign cache file costs a recomputation, never
+    a replay, and the result is bit-identical to a cache-less run."""
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            _truncate_trace_bank,
+            _delete_results_banks,
+            _garbage_timing_object,
+            _old_format_debris,
+        ],
+        ids=lambda damage: damage.__name__.strip("_"),
+    )
+    def test_damage_recomputes_bit_identical(self, tmp_path, reference, damage):
+        seeded = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
+        seeded.power("HS", ARCH)
+        damage(tmp_path, seeded)
+        debris = {
+            p.name: p.read_bytes()
+            for pattern in ("*.npz", "*.pkl")
+            for p in tmp_path.glob(pattern)
+        }
+
+        runner = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
+        assert runner.timing("HS", ARCH) == reference[0]
+        assert runner.power("HS", ARCH) == reference[1]
+        counters = runner.stats.counters
+        if damage in (_truncate_trace_bank, _old_format_debris):
+            assert counters["trace_executions"] == 1
+        if damage is not _truncate_trace_bank:
+            assert counters.get("result_cache_hits", 0) == 0
+        # Old-format files are neither read nor removed.
+        assert {p: (tmp_path / p).read_bytes() for p in debris} == debris
+
+        # The recomputation repaired the cache for the next process.
         warm = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        assert warm.run("HS").trace.total_instructions == expected
-        assert warm.stats.counters.get("cache_migrated_v5", 0) == 0
-        assert warm.stats.counters["bytes_mapped"] > 0
+        assert warm.power("HS", ARCH) == reference[1]
+        assert warm.stats.counters["result_cache_hits"] == 1
+        assert warm.stats.trace_executions == 0
 
-    def test_mmap_hit_results_match_legacy(self, tmp_path):
-        """Every modeled architecture's power report is bit-identical
-        whether the trace came through the legacy decompress path or
-        the v5 zero-copy map."""
-        from repro.experiments.runner import matrix_architectures
+    def test_failed_cache_write_does_not_fail_the_run(self, tmp_path, reference):
+        from repro.experiments import store
 
-        legacy_dir = tmp_path / "legacy"
-        mmap_dir = tmp_path / "mmap"
-        legacy = ExperimentRunner(scale="tiny", cache_dir=legacy_dir, transport="legacy")
-        seeder = ExperimentRunner(scale="tiny", cache_dir=mmap_dir)
-        for arch in matrix_architectures():
-            seeder.power("HS", arch)
-        warm = ExperimentRunner(scale="tiny", cache_dir=mmap_dir)
-        for arch in matrix_architectures():
-            via_pickle = legacy.power("HS", arch)
-            via_mmap = warm.power("HS", arch)
-            assert via_mmap.ipc_per_watt == via_pickle.ipc_per_watt
-            assert via_mmap.cycles == via_pickle.cycles
-            assert via_mmap.total_power_w == via_pickle.total_power_w
-        assert warm.stats.counters["bytes_mapped"] > 0
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        runner = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
+        with mock.patch.object(store, "write_aligned_npy", full_disk):
+            assert runner.power("HS", ARCH) == reference[1]
+        assert runner.stats.counters["cache_store_failed"] >= 1
+        assert not list(tmp_path.glob("*.tmp"))
+        assert not list(tmp_path.glob("HS_tiny.v5.json"))
+
+        after = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
+        assert after.power("HS", ARCH) == reference[1]
+        assert after.stats.trace_executions == 1
+        assert after.stats.counters.get("trace_cache_hits", 0) == 0

@@ -1,7 +1,7 @@
 """ExperimentRunner in chunked-streaming mode: equality, cache, wiring.
 
 The runner's ``chunk_events`` mode must produce bit-identical results
-to whole-trace mode (cold, from the results sidecar, and from per-chunk
+to whole-trace mode (cold, from the results entries, and from per-chunk
 v5 banks), keep the synthetic tier fully streamed (no whole trace ever
 materialized), honour parent-shipped bank hints, and surface the memory
 gauges through ``stats.to_dict``.
@@ -46,7 +46,7 @@ def warm_cache(tmp_path_factory, whole_reference):
 
 def _drop_result_sidecars(cache):
     removed = 0
-    for path in cache.glob("*_results_*.pkl"):
+    for path in cache.glob("*_results_*.v5.json"):
         path.unlink()
         removed += 1
     assert removed > 0

@@ -144,18 +144,27 @@ class TestSweep:
     def test_old_debris_is_reclaimed(self, tmp_path):
         tmp_file = tmp_path / "half-written.12345.tmp"
         tmp_file.write_bytes(b"x" * 64)
-        npz_tmp = tmp_path / "HS_tiny.99.tmp.npz"
-        npz_tmp.write_bytes(b"y" * 32)
         tmp_bank = tmp_path / "entry.00ff.v5.777.tmp"
         tmp_bank.mkdir()
         (tmp_bank / "ints.npy").write_bytes(b"z" * 16)
         old = time.time() - 3600
-        for path in (tmp_file, npz_tmp, tmp_bank):
+        for path in (tmp_file, tmp_bank):
             os.utime(path, (old, old))
         swept = store.sweep_orphans(tmp_path, age_seconds=600.0)
-        assert swept.tmp_files == 3
-        assert swept.bytes_freed == 64 + 32 + 16
+        assert swept.tmp_files == 2
+        assert swept.bytes_freed == 64 + 16
         assert list(tmp_path.iterdir()) == []
+
+    def test_old_format_files_are_never_swept(self, tmp_path):
+        """The cache dir may hold user files: only v5 debris is swept."""
+        names = ("HS_tiny.npz", "HS_tiny_results_gscalar.pkl", "HS_tiny.99.tmp.npz")
+        old = time.time() - 3600
+        for name in names:
+            (tmp_path / name).write_bytes(b"old format")
+            os.utime(tmp_path / name, (old, old))
+        swept = store.sweep_orphans(tmp_path, age_seconds=0.0)
+        assert swept.tmp_files == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
 
     def test_referenced_banks_are_never_swept(self, tmp_path):
         _store_sample(tmp_path)
@@ -175,10 +184,10 @@ class TestScan:
         (tmp_path / "HS_tiny_results_gscalar.pkl").write_bytes(b"legacy pickle")
         (tmp_path / "debris.1.tmp").write_bytes(b"junk")
         report = store.scan_cache(tmp_path)
+        assert set(report["stages"]) == {"sample", "other"}
         assert report["stages"]["sample"]["entries"] == 1
-        assert report["stages"]["trace_npz"]["entries"] == 1
-        assert report["stages"]["classified_pickle"]["entries"] == 1
-        assert report["stages"]["results_pickle"]["entries"] == 1
+        # Older-format files are not told apart: all are ``other``.
+        assert report["stages"]["other"]["entries"] == 3
         assert report["orphans"]["tmp_files"] == 1
         assert report["total_bytes"] > 0
 

@@ -1,10 +1,9 @@
-"""Tests for the columnar trace form and the v3 on-disk format.
+"""Tests for the columnar trace form and its v5 on-disk entry.
 
 Covers the lossless ``to_columnar``/``from_columnar`` round trip, the
-columnar ``.npz`` archive (version gate, fingerprint gate, corruption),
-and the experiment runner's transparent recovery: a cache entry written
-by an older format version is silently re-executed, never
-re-interpreted.
+v5 ``trace`` entry (version gate, fingerprint gate, corruption), and
+the experiment runner's transparent recovery: a cache entry written by
+an older format version is silently re-executed, never re-interpreted.
 """
 
 import json
@@ -13,19 +12,19 @@ import numpy as np
 import pytest
 
 from repro.errors import TraceError
+from repro.experiments import store
 from repro.simt import LaunchConfig, MemoryImage, run_kernel
 from repro.simt.serialize import (
     _ARRAY_FIELDS,
     _FORMAT_VERSION,
-    load_columnar,
-    load_trace,
-    save_columnar,
-    save_trace,
+    columnar_entry,
+    load_columnar_v5,
+    save_columnar_v5,
 )
 from repro.simt.trace import ColumnarTrace, KernelTrace
 
 from tests.conftest import run_one_warp
-from tests.simt.test_serialize import assert_traces_equal
+from tests.simt.test_serialize import assert_traces_equal, rewrite_manifest
 
 
 def _multi_warp_trace(kernel, memory=None):
@@ -70,26 +69,13 @@ class TestColumnarRoundTrip:
             columnar.to_trace()
 
 
-def _rewrite_header(path, **overrides):
-    """Rewrite the archive header in place (simulates other versions)."""
-    with np.load(path) as archive:
-        header = json.loads(bytes(archive["header"]).decode())
-        arrays = {name: archive[name] for name in _ARRAY_FIELDS}
-    header.update(overrides)
-    np.savez_compressed(
-        path,
-        header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-        **arrays,
-    )
-
-
 class TestColumnarSerialization:
     def test_save_load_columnar(self, divergent_kernel, tmp_path):
         trace = _multi_warp_trace(divergent_kernel)
         columnar = trace.to_columnar()
-        path = tmp_path / "trace.npz"
-        save_columnar(columnar, path, fingerprint="fp-1")
-        loaded = load_columnar(path, expected_fingerprint="fp-1")
+        save_columnar_v5(columnar, tmp_path, "trace", "fp-1")
+        loaded, status, entry = load_columnar_v5(tmp_path, "trace", "fp-1")
+        assert status == "hit"
         assert isinstance(loaded, ColumnarTrace)
         assert loaded.kernel_name == columnar.kernel_name
         assert loaded.warp_size == columnar.warp_size
@@ -97,45 +83,42 @@ class TestColumnarSerialization:
             assert np.array_equal(
                 getattr(loaded, name), getattr(columnar, name)
             ), name
+        assert entry.bytes_mapped > 0
         assert_traces_equal(trace, loaded.to_trace())
 
-    def test_save_trace_load_trace_symmetry(self, saxpy_kernel, simple_memory, tmp_path):
-        trace = run_one_warp(saxpy_kernel, simple_memory)
-        path = tmp_path / "trace.npz"
-        save_trace(trace, path)
-        assert_traces_equal(trace, load_trace(path))
-
     def test_stale_fingerprint_rejected(self, loop_kernel, tmp_path):
-        path = tmp_path / "trace.npz"
-        save_trace(run_one_warp(loop_kernel), path, fingerprint="fp-old")
-        with pytest.raises(TraceError, match="stale trace cache"):
-            load_columnar(path, expected_fingerprint="fp-new")
+        columnar = run_one_warp(loop_kernel).to_columnar()
+        save_columnar_v5(columnar, tmp_path, "trace", "fp-old")
+        assert load_columnar_v5(tmp_path, "trace", "fp-new") == (None, "stale", None)
         # Without an expectation the fingerprint is not checked.
-        load_columnar(path)
+        assert load_columnar_v5(tmp_path, "trace")[1] == "hit"
 
     def test_legacy_version_rejected(self, loop_kernel, tmp_path):
-        path = tmp_path / "trace.npz"
-        save_trace(run_one_warp(loop_kernel), path)
-        _rewrite_header(path, version=_FORMAT_VERSION - 1)
-        with pytest.raises(TraceError, match="unsupported trace format"):
-            load_columnar(path)
+        columnar = run_one_warp(loop_kernel).to_columnar()
+        save_columnar_v5(columnar, tmp_path, "trace", "fp")
 
-    def test_corrupt_file_rejected(self, tmp_path):
-        path = tmp_path / "trace.npz"
-        path.write_bytes(b"not an npz archive at all")
-        with pytest.raises(TraceError, match="corrupt or unreadable"):
-            load_columnar(path)
+        def downgrade(doc):
+            doc["meta"]["format_version"] = _FORMAT_VERSION - 1
+
+        rewrite_manifest(tmp_path, downgrade)
+        assert load_columnar_v5(tmp_path, "trace")[1] == "corrupt"
+
+    def test_corrupt_file_rejected(self, loop_kernel, tmp_path):
+        """A manifest whose bank directory is gone is corrupt, not a hit."""
+        columnar = run_one_warp(loop_kernel).to_columnar()
+        save_columnar_v5(columnar, tmp_path, "trace", "fp")
+        (bank_dir,) = tmp_path.glob("trace.*.v5")
+        for bank in bank_dir.iterdir():
+            bank.unlink()
+        bank_dir.rmdir()
+        assert load_columnar_v5(tmp_path, "trace")[1] == "corrupt"
 
     def test_truncated_arrays_rejected(self, loop_kernel, tmp_path):
-        path = tmp_path / "trace.npz"
-        save_trace(run_one_warp(loop_kernel), path)
-        with np.load(path) as archive:
-            arrays = {name: archive[name] for name in _ARRAY_FIELDS}
-            header = archive["header"]
-        arrays["warp_lengths"] = arrays["warp_lengths"] + 5
-        np.savez_compressed(path, header=header, **arrays)
-        with pytest.raises(TraceError, match="corrupt trace file"):
-            load_columnar(path)
+        """Warp lengths that disagree with the event count are corrupt."""
+        entry = columnar_entry(run_one_warp(loop_kernel).to_columnar())
+        entry["arrays"]["warp_lengths"] = entry["arrays"]["warp_lengths"] + 5
+        store.store_entry(tmp_path, "trace", fingerprint="fp", kind="trace", **entry)
+        assert load_columnar_v5(tmp_path, "trace")[1] == "corrupt"
 
 
 class TestRunnerCacheRecovery:
@@ -158,8 +141,6 @@ class TestRunnerCacheRecovery:
         doc = json.loads(manifests[0].read_text())
         doc["meta"]["format_version"] = _FORMAT_VERSION - 1
         manifests[0].write_text(json.dumps(doc))
-        for sidecar in tmp_path.glob("*.pkl"):
-            sidecar.unlink()
 
         recovered = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
         stats = trace_statistics(recovered.run("BP").classified)
@@ -175,20 +156,22 @@ class TestRunnerCacheRecovery:
         assert warm.stats.counters.get("trace_executions", 0) == 0
 
     def test_event_classifier_does_not_reuse_batch_sidecar(self, tmp_path):
-        """The classified sidecar is keyed on the engine name, so a
+        """Classified-column entries are keyed on the engine name, so a
         ``--classifier=event`` differential run never replays the batch
-        engine's cached stream (or vice versa)."""
+        engine's cached columns (or vice versa)."""
         from repro.experiments.runner import ExperimentRunner
-        from repro.scalar.tracker import trace_statistics
 
         batch_runner = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        batch_stats = trace_statistics(batch_runner.run("BP").classified)
+        batch_columns = batch_runner.classified_columns("BP")
 
         event_runner = ExperimentRunner(
             scale="tiny", cache_dir=tmp_path, classifier="event"
         )
-        event_stats = trace_statistics(event_runner.run("BP").classified)
+        event_columns = event_runner.classified_columns("BP")
         counters = event_runner.stats.counters
         assert counters["trace_cache_hits"] == 1
-        assert counters.get("classified_cache_hits", 0) == 0
-        assert event_stats == batch_stats
+        assert counters.get("ccols_cache_hits", 0) == 0
+        assert counters["ccols_cache_misses"] == 1
+        batch_arrays = batch_columns.as_arrays()
+        for name, array in event_columns.as_arrays().items():
+            assert np.array_equal(array, batch_arrays[name]), name

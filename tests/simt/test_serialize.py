@@ -1,12 +1,15 @@
-"""Round-trip tests for trace serialization."""
+"""Round-trip tests for trace serialization (v5 ``trace`` entries)."""
+
+import json
 
 import numpy as np
-import pytest
 
 from repro.simt import MemoryImage
-from repro.simt.serialize import load_trace, save_trace
+from repro.simt.serialize import load_columnar_v5, save_columnar_v5
 
 from tests.conftest import run_one_warp
+
+STEM = "trace"
 
 
 def assert_traces_equal(a, b):
@@ -34,36 +37,51 @@ def assert_traces_equal(a, b):
                 assert np.array_equal(ev_a.addresses, ev_b.addresses)
 
 
+def save(trace, cache_dir, fingerprint="deadbeef00000000"):
+    save_columnar_v5(trace.to_columnar(), cache_dir, STEM, fingerprint)
+
+
+def load(cache_dir, expected_fingerprint=None):
+    """Load the test entry; returns ``(trace or None, status)``."""
+    columnar, status, _ = load_columnar_v5(cache_dir, STEM, expected_fingerprint)
+    return (columnar.to_trace() if columnar is not None else None), status
+
+
+def round_trip(trace, cache_dir):
+    save(trace, cache_dir)
+    loaded, status = load(cache_dir, "deadbeef00000000")
+    assert status == "hit"
+    return loaded
+
+
+def rewrite_manifest(cache_dir, edit):
+    path = cache_dir / f"{STEM}.v5.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
 class TestRoundTrip:
     def test_divergent_trace(self, divergent_kernel, tmp_path):
         trace = run_one_warp(divergent_kernel, MemoryImage(), cta=64)
-        path = tmp_path / "trace.npz"
-        save_trace(trace, path)
-        assert_traces_equal(trace, load_trace(path))
+        assert_traces_equal(trace, round_trip(trace, tmp_path))
 
     def test_memory_trace(self, saxpy_kernel, simple_memory, tmp_path):
         trace = run_one_warp(saxpy_kernel, simple_memory)
-        path = tmp_path / "trace.npz"
-        save_trace(trace, path)
-        assert_traces_equal(trace, load_trace(path))
+        assert_traces_equal(trace, round_trip(trace, tmp_path))
 
     def test_empty_trace(self, tmp_path):
         from repro.simt.trace import KernelTrace
 
         trace = KernelTrace(kernel_name="empty", warp_size=32)
-        path = tmp_path / "empty.npz"
-        save_trace(trace, path)
-        loaded = load_trace(path)
-        assert loaded.total_instructions == 0
+        assert round_trip(trace, tmp_path).total_instructions == 0
 
     def test_downstream_results_identical(self, divergent_kernel, tmp_path):
         """A reloaded trace must classify identically."""
         from repro.scalar import classify_trace, trace_statistics
 
         trace = run_one_warp(divergent_kernel, MemoryImage())
-        path = tmp_path / "trace.npz"
-        save_trace(trace, path)
-        reloaded = load_trace(path)
+        reloaded = round_trip(trace, tmp_path)
         original = trace_statistics(
             classify_trace(trace, divergent_kernel.num_registers)
         )
@@ -78,10 +96,9 @@ class TestRoundTrip:
 
         built = build_workload("HS", scale="tiny")
         trace = run_kernel(built.kernel, built.launch, built.memory)
-        path = tmp_path / "hs.npz"
-        save_trace(trace, path)
-        assert_traces_equal(trace, load_trace(path))
-        assert path.stat().st_size > 0
+        assert_traces_equal(trace, round_trip(trace, tmp_path))
+        banks = list(tmp_path.glob(f"{STEM}.*.v5/*.npy"))
+        assert banks and all(bank.stat().st_size > 0 for bank in banks)
 
 
 class TestFingerprint:
@@ -89,74 +106,48 @@ class TestFingerprint:
         from repro.simt.trace import KernelTrace
 
         trace = run_one_warp(saxpy_kernel, MemoryImage())
-        path = tmp_path / "trace.npz"
-        save_trace(trace, path, fingerprint="deadbeef00000000")
-        loaded = load_trace(path, expected_fingerprint="deadbeef00000000")
+        loaded = round_trip(trace, tmp_path)
         assert isinstance(loaded, KernelTrace)
         assert_traces_equal(trace, loaded)
 
-    def test_mismatched_fingerprint_raises(self, saxpy_kernel, tmp_path):
-        from repro.errors import TraceError
+    def test_mismatched_fingerprint_is_stale(self, saxpy_kernel, tmp_path):
+        save(run_one_warp(saxpy_kernel, MemoryImage()), tmp_path)
+        assert load(tmp_path, "0123456789abcdef") == (None, "stale")
 
-        trace = run_one_warp(saxpy_kernel, MemoryImage())
-        path = tmp_path / "trace.npz"
-        save_trace(trace, path, fingerprint="deadbeef00000000")
-        with pytest.raises(TraceError, match="stale"):
-            load_trace(path, expected_fingerprint="0123456789abcdef")
-
-    def test_missing_fingerprint_raises_when_expected(self, saxpy_kernel, tmp_path):
-        from repro.errors import TraceError
-
-        trace = run_one_warp(saxpy_kernel, MemoryImage())
-        path = tmp_path / "trace.npz"
-        save_trace(trace, path)  # no fingerprint embedded
-        with pytest.raises(TraceError, match="stale"):
-            load_trace(path, expected_fingerprint="0123456789abcdef")
+    def test_missing_fingerprint_rejected(self, saxpy_kernel, tmp_path):
+        save(run_one_warp(saxpy_kernel, MemoryImage()), tmp_path)
+        rewrite_manifest(tmp_path, lambda doc: doc.pop("fingerprint"))
+        assert load(tmp_path, "deadbeef00000000") == (None, "corrupt")
 
     def test_no_expected_fingerprint_skips_check(self, saxpy_kernel, tmp_path):
         trace = run_one_warp(saxpy_kernel, MemoryImage())
-        path = tmp_path / "trace.npz"
-        save_trace(trace, path, fingerprint="deadbeef00000000")
-        assert_traces_equal(trace, load_trace(path))
+        save(trace, tmp_path)
+        loaded, status = load(tmp_path)
+        assert status == "hit"
+        assert_traces_equal(trace, loaded)
 
 
 class TestCorruption:
-    def test_garbage_file_raises_trace_error(self, tmp_path):
-        from repro.errors import TraceError
+    def test_garbage_manifest_rejected(self, tmp_path):
+        (tmp_path / f"{STEM}.v5.json").write_bytes(b"this is not a manifest")
+        assert load(tmp_path) == (None, "corrupt")
 
-        path = tmp_path / "garbage.npz"
-        path.write_bytes(b"this is not a zip archive at all")
-        with pytest.raises(TraceError, match="corrupt"):
-            load_trace(path)
+    def test_truncated_bank_rejected(self, saxpy_kernel, tmp_path):
+        save(run_one_warp(saxpy_kernel, MemoryImage()), tmp_path)
+        (bank,) = tmp_path.glob(f"{STEM}.*.v5/values.npy")
+        data = bank.read_bytes()
+        bank.write_bytes(data[: len(data) // 2])
+        assert load(tmp_path) == (None, "corrupt")
 
-    def test_truncated_archive_raises_trace_error(self, saxpy_kernel, tmp_path):
-        from repro.errors import TraceError
+    def test_empty_manifest_rejected(self, tmp_path):
+        (tmp_path / f"{STEM}.v5.json").write_bytes(b"")
+        assert load(tmp_path) == (None, "corrupt")
 
-        trace = run_one_warp(saxpy_kernel, MemoryImage())
-        path = tmp_path / "trace.npz"
-        save_trace(trace, path)
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
-        with pytest.raises(TraceError):
-            load_trace(path)
-
-    def test_empty_file_raises_trace_error(self, tmp_path):
-        from repro.errors import TraceError
-
-        path = tmp_path / "empty.npz"
-        path.write_bytes(b"")
-        with pytest.raises(TraceError):
-            load_trace(path)
-
-    def test_wrong_version_raises_trace_error(self, saxpy_kernel, tmp_path):
+    def test_wrong_version_rejected(self, saxpy_kernel, tmp_path):
         from unittest import mock
 
-        from repro.errors import TraceError
         from repro.simt import serialize
 
-        trace = run_one_warp(saxpy_kernel, MemoryImage())
-        path = tmp_path / "trace.npz"
         with mock.patch.object(serialize, "_FORMAT_VERSION", 999):
-            save_trace(trace, path)
-        with pytest.raises(TraceError, match="version"):
-            load_trace(path)
+            save(run_one_warp(saxpy_kernel, MemoryImage()), tmp_path)
+        assert load(tmp_path) == (None, "corrupt")
