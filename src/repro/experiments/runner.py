@@ -48,7 +48,7 @@ from repro.experiments import cachekey, store
 from repro.obs.instrument import record_columnar_warps
 from repro.obs.memory import record_bytes_in_flight, record_peak_rss
 from repro.obs.telemetry import Telemetry, get_telemetry
-from repro.experiments.streaming import _array_bytes
+from repro.experiments.streaming import _array_bytes, extend_warp_fragments
 from repro.power.accounting import PowerAccountant, _PowerAggregates
 from repro.power.energy import DEFAULT_ENERGY, EnergyParams
 from repro.power.report import PowerReport
@@ -79,11 +79,12 @@ from repro.simt.trace import (
     opcode_labels,
 )
 from repro.timing.gpu import (
+    lower_to_timing_ops,
     simulate_architecture,
     simulate_architecture_columns,
-    simulate_warp_ops,
+    simulate_warp_rows,
 )
-from repro.timing.ops import build_timing_ops_columns
+from repro.timing.ops import build_timing_ops_columns, compile_ops
 from repro.timing.sm import TimingResult
 from repro.timing.sm_event import DEFAULT_SM_ENGINE, SM_ENGINE_CHOICES
 from repro.workloads.registry import SCALES, BuiltWorkload, all_workloads, workload_by_name
@@ -889,29 +890,35 @@ class ExperimentRunner:
         return run.built.launch.warps_per_cta(run.warp_size)
 
     def _compute_timing(self, key: str, arch: ArchitectureConfig) -> None:
+        """Lower to engine rows, then simulate: the ``lower`` and
+        ``sm_sim`` stages.  The inputs are materialized first, so their
+        own stages never nest inside ``lower``."""
         self._log(f"timing {key} on {arch.name}")
         run = self.run(key)
         warps_per_cta = run.built.launch.warps_per_cta(run.warp_size)
+        if self.arch_engine == "batch":
+            ccols = self.classified_columns(key)
+            pcols = self.processed_columns(key, arch)
+            with self.stats.timer("lower", benchmark=key, arch=arch.name):
+                warp_rows = build_timing_ops_columns(ccols, pcols, arch, self.config)
+        else:
+            processed = self.processed(key, arch)
+            with self.stats.timer("lower", benchmark=key, arch=arch.name):
+                warp_rows = compile_ops(
+                    lower_to_timing_ops(processed, arch, self.config, run.warp_size),
+                    self.config,
+                    arch.extra_pipeline_cycles,
+                )
         with self.stats.timer(
-            "timing", benchmark=key, arch=arch.name, sm_engine=self.sm_engine
+            "sm_sim", benchmark=key, arch=arch.name, sm_engine=self.sm_engine
         ):
-            if self.arch_engine == "batch":
-                self._timing[(key, arch.name)] = simulate_architecture_columns(
-                    self.classified_columns(key),
-                    self.processed_columns(key, arch),
-                    arch,
-                    self.config,
-                    warps_per_cta=warps_per_cta,
-                    sm_engine=self.sm_engine,
-                )
-            else:
-                self._timing[(key, arch.name)] = simulate_architecture(
-                    self.processed(key, arch),
-                    arch,
-                    self.config,
-                    warps_per_cta=warps_per_cta,
-                    sm_engine=self.sm_engine,
-                )
+            self._timing[(key, arch.name)] = simulate_warp_rows(
+                warp_rows,
+                arch,
+                self.config,
+                warps_per_cta=warps_per_cta,
+                sm_engine=self.sm_engine,
+            )
 
     # ------------------------------------------------------------------
     # Chunk-streaming compute (``chunk_events`` set).
@@ -1081,7 +1088,7 @@ class ExperimentRunner:
                 )
         carry = ArchCarry()
         agg = _PowerAggregates()
-        warp_ops: list[list] = []
+        warp_rows: list[list[tuple]] = []
         for meta, ccols in self._iter_ccols_fragments(key, force_cold=force_cold):
             warp_start = int(meta["warp_start"])
             if pcols_warm:
@@ -1118,13 +1125,9 @@ class ExperimentRunner:
                     arrays=pcols.as_arrays(),
                 )
             agg.merge(accountant.aggregates_from_columns(pcols, warp_base=warp_start))
-            fragments = build_timing_ops_columns(ccols, pcols, arch, self.config)
-            for local, fragment in enumerate(fragments):
-                warp = warp_start + local
-                if warp < len(warp_ops):
-                    warp_ops[warp].extend(fragment)
-                else:
-                    warp_ops.append(fragment)
+            with self.stats.timer("lower", benchmark=key, arch=arch.name):
+                fragments = build_timing_ops_columns(ccols, pcols, arch, self.config)
+            extend_warp_fragments(warp_rows, warp_start, fragments)
             self.stats.bump("stream_chunks")
             # Gauges land in the stats registry: the shared one when
             # telemetry is on, else the runner's private registry — so
@@ -1135,10 +1138,10 @@ class ExperimentRunner:
             record_peak_rss(self.stats.telemetry)
         warps_per_cta = run.built.launch.warps_per_cta(run.warp_size)
         with self.stats.timer(
-            "timing", benchmark=key, arch=arch.name, sm_engine=self.sm_engine
+            "sm_sim", benchmark=key, arch=arch.name, sm_engine=self.sm_engine
         ):
-            timing = simulate_warp_ops(
-                warp_ops,
+            timing = simulate_warp_rows(
+                warp_rows,
                 arch,
                 self.config,
                 warps_per_cta=warps_per_cta,

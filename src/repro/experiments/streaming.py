@@ -14,8 +14,9 @@ chunks at every layer:
 * :class:`repro.scalar.arch_batch.ArchCarry` — the prior-work
   architecture's scalar-register-file LRU residency, per architecture;
 * timing — :func:`repro.timing.ops.build_timing_ops_columns` is a pure
-  per-event lowering, so each chunk's op fragments append onto their
-  (global) warp's accumulated list.  Both SM engines schedule whole
+  per-event lowering to engine rows, so each chunk's row fragments
+  append onto their (global) warp's accumulated list
+  (:func:`extend_warp_fragments`).  Both SM engines schedule whole
   warps, so the single simulation pass at :meth:`StreamingPipeline.finish`
   is the one whole-trace barrier the stream keeps;
 * power — each chunk reduces to an integer
@@ -49,8 +50,8 @@ from repro.power.report import PowerReport
 from repro.scalar.arch_batch import ArchCarry, process_columns_chunk
 from repro.scalar.batch import ClassifierCarry, classify_columnar_chunk
 from repro.scalar.columns import ClassifiedColumns, ProcessedColumns
-from repro.timing.gpu import simulate_warp_ops
-from repro.timing.ops import TimingOp, build_timing_ops_columns
+from repro.timing.gpu import simulate_warp_rows
+from repro.timing.ops import build_timing_ops_columns
 from repro.timing.sm import TimingResult
 from repro.timing.sm_event import DEFAULT_SM_ENGINE
 from repro.simt.trace import TraceChunk
@@ -64,6 +65,22 @@ def _array_bytes(container: Any) -> int:
         if isinstance(value, np.ndarray):
             total += value.nbytes
     return total
+
+
+def extend_warp_fragments(
+    warp_rows: list[list[tuple]], warp_start: int, fragments: list[list[tuple]]
+) -> None:
+    """Append one chunk's per-warp row fragments to the accumulated lists.
+
+    ``fragments[i]`` belongs to global warp ``warp_start + i``; a warp
+    continued from the previous chunk is extended, a new one appended.
+    """
+    for local, fragment in enumerate(fragments):
+        warp = warp_start + local
+        if warp < len(warp_rows):
+            warp_rows[warp].extend(fragment)
+        else:
+            warp_rows.append(fragment)
 
 
 @dataclass
@@ -90,7 +107,7 @@ class StreamingPipeline:
     the whole-trace path feeds :func:`repro.scalar.arch_batch.process_columns`).
     ``collect_timing_ops=False`` skips the timing lowering entirely —
     the benchmark harness uses this to measure the bounded-memory
-    classify/process/account spine on its own (the op lists are the
+    classify/process/account spine on its own (the row lists are the
     one stage whose footprint grows with the trace).
 
     ``on_classified(chunk, ccols)`` / ``on_processed(chunk, arch, pcols)``
@@ -129,7 +146,7 @@ class StreamingPipeline:
         self.aggregates: dict[str, _PowerAggregates] = {
             arch.name: _PowerAggregates() for arch in self.arches
         }
-        self.warp_ops: dict[str, list[list[TimingOp]]] = {
+        self.warp_rows: dict[str, list[list[tuple]]] = {
             arch.name: [] for arch in self.arches
         }
         self.num_events = 0
@@ -175,16 +192,11 @@ class StreamingPipeline:
             )
 
             if self.collect_timing_ops:
-                ops = self.warp_ops[arch.name]
-                fragments = build_timing_ops_columns(
-                    ccols, pcols, arch, self.config
+                extend_warp_fragments(
+                    self.warp_rows[arch.name],
+                    chunk.warp_start,
+                    build_timing_ops_columns(ccols, pcols, arch, self.config),
                 )
-                for local, fragment in enumerate(fragments):
-                    warp = chunk.warp_start + local
-                    if warp < len(ops):
-                        ops[warp].extend(fragment)
-                    else:
-                        ops.append(fragment)
 
         self.num_events += chunk.num_events
         self.num_chunks += 1
@@ -211,8 +223,8 @@ class StreamingPipeline:
         timing: dict[str, TimingResult] = {}
         power: dict[str, PowerReport] = {}
         for arch in self.arches:
-            result = simulate_warp_ops(
-                self.warp_ops[arch.name],
+            result = simulate_warp_rows(
+                self.warp_rows[arch.name],
                 arch,
                 self.config,
                 warps_per_cta=warps_per_cta,

@@ -75,10 +75,11 @@ from repro.simt.executor import run_kernel
 from repro.simt.trace import KernelTrace
 from repro.timing.gpu import (
     lower_to_timing_ops,
-    lower_to_timing_ops_columns,
     simulate_architecture,
     simulate_architecture_columns,
 )
+from repro.timing.ops import build_timing_ops_columns, compile_ops
+from repro.timing.sm import SmSimulator
 from repro.workloads.registry import SCALES, all_workloads, build_workload
 
 # BP and LC exercise the compute-heavy paths; LBM (memory_intensive in
@@ -154,7 +155,7 @@ def measure_pipeline(
     the cycle-level SM model; the fast path runs the columnar engines
     and the event-driven SM engine.  Before any timing, an equivalence
     gate pins every intermediate equal across the paths — processed
-    columns, lowered timing ops, the full
+    columns, lowered engine rows, the full
     :class:`~repro.timing.sm.TimingResult` (cycles, instruction and
     memory counters, per-scheduler issue, conflict and stall counters)
     and the power report — so a reported speedup can never come from a
@@ -184,10 +185,14 @@ def measure_pipeline(
             raise AssertionError(
                 f"{benchmark}/{arch.name}: engines disagree on processed columns"
             )
-        event_ops = lower_to_timing_ops(processed, arch, config, warp_size)
-        if event_ops != lower_to_timing_ops_columns(ccols, pcols, arch, config):
+        event_rows = compile_ops(
+            lower_to_timing_ops(processed, arch, config, warp_size),
+            config,
+            arch.extra_pipeline_cycles,
+        )
+        if event_rows != build_timing_ops_columns(ccols, pcols, arch, config):
             raise AssertionError(
-                f"{benchmark}/{arch.name}: engines disagree on timing ops"
+                f"{benchmark}/{arch.name}: engines disagree on timing rows"
             )
         cycle_timing = simulate_architecture(
             processed,
@@ -222,14 +227,12 @@ def measure_pipeline(
         run_classified = classify_trace(trace, num_registers)
         for arch in arches:
             processed = process_classified(run_classified, arch, warp_size)
-            timing = simulate_architecture(
-                processed,
-                arch,
+            timing = SmSimulator(
+                lower_to_timing_ops(processed, arch, config, warp_size),
                 config,
-                warp_size,
+                extra_latency=arch.extra_pipeline_cycles,
                 warps_per_cta=warps_per_cta,
-                sm_engine="cycle",
-            )
+            ).run()
             PowerAccountant(arch, config=config).account(processed, timing)
 
     def batch_pipeline() -> None:

@@ -2,11 +2,9 @@
 
 from repro.timing.gpu import (
     lower_to_timing_ops,
-    lower_to_timing_ops_columns,
     simulate_architecture,
     simulate_architecture_columns,
 )
-from repro.timing.multisim import GpuTimingResult, simulate_gpu
 from repro.timing.memory import (
     MemoryAccessCounts,
     MemoryModel,
@@ -18,6 +16,8 @@ from repro.timing.ops import (
     build_timing_ops,
     build_timing_ops_columns,
     coalesce_addresses,
+    compile_ops,
+    rows_to_ops,
 )
 from repro.timing.scheduler import (
     WarpScheduler,
@@ -53,7 +53,6 @@ __all__ = [
     "DEFAULT_SM_ENGINE",
     "SM_ENGINE_CHOICES",
     "EventSmSimulator",
-    "GpuTimingResult",
     "MemoryAccessCounts",
     "MemoryModel",
     "Scoreboard",
@@ -66,13 +65,13 @@ __all__ = [
     "build_timing_ops",
     "build_timing_ops_columns",
     "coalesce_addresses",
+    "compile_ops",
     "create_sm_simulator",
     "lower_to_timing_ops",
-    "lower_to_timing_ops_columns",
     "partition_slots",
     "partition_warps",
+    "rows_to_ops",
     "scheduler_of_slot",
     "simulate_architecture",
     "simulate_architecture_columns",
-    "simulate_gpu",
 ]

@@ -11,8 +11,13 @@ from __future__ import annotations
 
 from repro.config import ArchitectureConfig, GpuConfig
 from repro.scalar.architectures import ProcessedEvent
-from repro.timing.ops import TimingOp, build_timing_ops, build_timing_ops_columns
-from repro.timing.sm import SmSimulator, TimingResult
+from repro.timing.ops import (
+    TimingOp,
+    build_timing_ops,
+    build_timing_ops_columns,
+    compile_ops,
+)
+from repro.timing.sm import TimingResult
 from repro.timing.sm_event import DEFAULT_SM_ENGINE, create_sm_simulator
 
 
@@ -50,25 +55,14 @@ def simulate_architecture(
     """
     config = config or GpuConfig()
     warp_ops = lower_to_timing_ops(processed, arch, config, warp_size)
-    simulator = create_sm_simulator(
-        sm_engine,
-        warp_ops,
+    return simulate_warp_rows(
+        compile_ops(warp_ops, config, arch.extra_pipeline_cycles),
+        arch,
         config,
-        extra_latency=arch.extra_pipeline_cycles,
         warps_per_cta=warps_per_cta,
+        sm_engine=sm_engine,
         recorder=recorder,
     )
-    return simulator.run()
-
-
-def lower_to_timing_ops_columns(
-    ccols,
-    pcols,
-    arch: ArchitectureConfig,
-    config: GpuConfig,
-) -> list[list[TimingOp]]:
-    """Lower a columnar classified/processed pair to timing ops."""
-    return build_timing_ops_columns(ccols, pcols, arch, config)
 
 
 def simulate_architecture_columns(
@@ -87,29 +81,27 @@ def simulate_architecture_columns(
     event path for the same stream.
     """
     config = config or GpuConfig()
-    warp_ops = build_timing_ops_columns(ccols, pcols, arch, config)
-    simulator = create_sm_simulator(
-        sm_engine,
-        warp_ops,
+    return simulate_warp_rows(
+        build_timing_ops_columns(ccols, pcols, arch, config),
+        arch,
         config,
-        extra_latency=arch.extra_pipeline_cycles,
         warps_per_cta=warps_per_cta,
+        sm_engine=sm_engine,
         recorder=recorder,
     )
-    return simulator.run()
 
 
-def simulate_warp_ops(
-    warp_ops: list[list[TimingOp]],
+def simulate_warp_rows(
+    warp_rows: list[list[tuple]],
     arch: ArchitectureConfig,
     config: GpuConfig | None = None,
     warps_per_cta: int | None = None,
     sm_engine: str = DEFAULT_SM_ENGINE,
     recorder=None,
 ) -> TimingResult:
-    """Run the SM timing model over pre-lowered per-warp op lists.
+    """Run the SM timing model over pre-lowered per-warp engine rows.
 
-    The chunk-streaming pipeline lowers timing ops chunk by chunk
+    The chunk-streaming pipeline lowers rows chunk by chunk
     (:func:`build_timing_ops_columns` is a pure per-event function, so
     fragment lowering is exact) and appends each fragment to its
     warp's accumulated list; this entry point runs the simulation once
@@ -119,7 +111,7 @@ def simulate_warp_ops(
     config = config or GpuConfig()
     simulator = create_sm_simulator(
         sm_engine,
-        warp_ops,
+        warp_rows,
         config,
         extra_latency=arch.extra_pipeline_cycles,
         warps_per_cta=warps_per_cta,

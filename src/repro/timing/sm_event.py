@@ -1,10 +1,13 @@
 """Event-driven SM timing engine — the fast twin of :mod:`repro.timing.sm`.
 
-:class:`EventSmSimulator` consumes the same per-warp
-:class:`~repro.timing.ops.TimingOp` streams (including
-:func:`~repro.timing.ops.build_timing_ops_columns` output) as the
-cycle-level :class:`~repro.timing.sm.SmSimulator` and produces a
-**bit-identical** :class:`~repro.timing.sm.TimingResult` — cycles,
+:class:`EventSmSimulator` reads per-warp engine rows — the plain tuples
+of :data:`repro.timing.ops.ROW_FIELDS`, with each op's port and resolved
+latency filled in — which the columnar
+:func:`~repro.timing.ops.build_timing_ops_columns` lowering emits
+directly; reference-form :class:`~repro.timing.ops.TimingOp` streams
+reach it through :func:`~repro.timing.ops.compile_ops`.  Over the same
+stream as the cycle-level :class:`~repro.timing.sm.SmSimulator` it
+produces a **bit-identical** :class:`~repro.timing.sm.TimingResult` — cycles,
 instruction counts, memory counters, per-scheduler issue counts, bank
 conflict counters and per-scheduler stall-cause attributions all match
 exactly (the differential suite pins this on all 17 workloads × 5
@@ -46,9 +49,24 @@ from heapq import heappop, heappush
 
 from repro.config import GpuConfig, SchedulerPolicy
 from repro.errors import TimingError
-from repro.isa.opcodes import OpCategory
 from repro.timing.memory import MemoryModel
-from repro.timing.ops import SCALAR_RF_BANK, TimingOp
+from repro.timing.ops import (
+    PORT_CATEGORIES,
+    ROW_DELTA,
+    ROW_DISPATCH,
+    ROW_DST,
+    ROW_INSERTED,
+    ROW_IS_BARRIER,
+    ROW_IS_CTRL,
+    ROW_IS_SHARED,
+    ROW_IS_STORE,
+    ROW_MEM_SEGMENTS,
+    ROW_PORT,
+    ROW_SRC_BANKS,
+    ROW_SRC_REGS,
+    SCALAR_RF_BANK,
+    rows_to_ops,
+)
 from repro.timing.scheduler import partition_slots
 from repro.timing.sm import (
     _BLOCKED_ON_BARRIER,
@@ -71,55 +89,38 @@ from repro.timing.sm import (
 SM_ENGINE_CHOICES = ("event", "cycle")
 DEFAULT_SM_ENGINE = "event"
 
-# Pipeline-port groups (index into the per-group port lists).
-_PORT_ALU = 0
-_PORT_MEM = 1
-_PORT_SFU = 2
-
 #: OpCategory.name per port group, for flight-recorder labels (CTRL is
-#: distinguished by the compiled row's _IS_CTRL flag).
-_PORT_CATEGORY_NAMES = ("ALU", "MEM", "SFU")
-
-# Compiled-op tuple layout (one tuple per TimingOp; plain tuples index
-# faster than dataclass attribute access in the hot loop).
-_DST = 0
-_SRC_REGS = 1
-_SRC_BANKS = 2
-_DISPATCH = 3
-_PORT = 4
-_DELTA = 5  # dispatch + write-back latency + extra latency; -1 for MEM
-_IS_CTRL = 6
-_IS_BARRIER = 7
-_INSERTED = 8
-_MEM_SEGMENTS = 9
-_IS_SHARED = 10
-_IS_STORE = 11
+#: distinguished by the row's ROW_IS_CTRL flag).
+_PORT_CATEGORY_NAMES = tuple(category.name for category in PORT_CATEGORIES)
 
 
 def create_sm_simulator(
     engine: str,
-    warp_ops: list[list[TimingOp]],
+    warp_rows: list[list[tuple]],
     config: GpuConfig,
     extra_latency: int = 0,
     memory: MemoryModel | None = None,
     warps_per_cta: int | None = None,
     recorder=None,
 ):
-    """Instantiate the selected SM timing engine over one op stream.
+    """Instantiate the selected SM timing engine over per-warp rows.
 
-    ``recorder`` (a :class:`repro.obs.timeline.FlightRecorder`) opts the
-    run into per-warp lifecycle recording; both engines accept it.
+    ``warp_rows`` are :data:`repro.timing.ops.ROW_FIELDS` tuples, built
+    with the same ``extra_latency``; the cycle-level reference reads them
+    back as :class:`~repro.timing.ops.TimingOp` lists.  ``recorder`` (a
+    :class:`repro.obs.timeline.FlightRecorder`) opts the run into per-warp
+    lifecycle recording; both engines accept it.
     """
     if engine == "event":
-        cls = EventSmSimulator
+        cls, stream = EventSmSimulator, warp_rows
     elif engine == "cycle":
-        cls = SmSimulator
+        cls, stream = SmSimulator, rows_to_ops(warp_rows)
     else:
         raise TimingError(
             f"unknown SM engine {engine!r}; known: {', '.join(SM_ENGINE_CHOICES)}"
         )
     return cls(
-        warp_ops,
+        stream,
         config,
         extra_latency=extra_latency,
         memory=memory,
@@ -131,14 +132,14 @@ def create_sm_simulator(
 class EventSmSimulator:
     """Event-driven simulation of one SM running fixed warps to completion.
 
-    Drop-in constructor/run() compatible with
-    :class:`~repro.timing.sm.SmSimulator`; see the module docstring for
-    how the two engines relate.
+    Constructor and run() mirror :class:`~repro.timing.sm.SmSimulator`,
+    over engine rows instead of ``TimingOp`` lists; see the module
+    docstring for how the two engines relate.
     """
 
     def __init__(
         self,
-        warp_ops: list[list[TimingOp]],
+        warp_rows: list[list[tuple]],
         config: GpuConfig,
         extra_latency: int = 0,
         memory: MemoryModel | None = None,
@@ -149,7 +150,7 @@ class EventSmSimulator:
             raise TimingError(f"extra_latency must be >= 0, got {extra_latency}")
         if warps_per_cta is not None and warps_per_cta < 1:
             raise TimingError(f"warps_per_cta must be >= 1, got {warps_per_cta}")
-        self.warp_ops = warp_ops
+        self.warp_rows = warp_rows
         self.config = config
         self.extra_latency = extra_latency
         self.recorder = recorder
@@ -158,7 +159,7 @@ class EventSmSimulator:
             l1_size_bytes=config.l1_cache_bytes,
             l2_share_bytes=max(8 * 1024, config.l2_cache_bytes // config.num_sms),
         )
-        self.num_warps = len(warp_ops)
+        self.num_warps = len(warp_rows)
         self.max_resident = min(config.max_warps_per_sm, self.num_warps)
         if self.num_warps and min(self.warps_per_cta, self.num_warps) > self.max_resident:
             raise TimingError(
@@ -168,58 +169,14 @@ class EventSmSimulator:
             )
 
     # ------------------------------------------------------------------
-    def _compile(self) -> list[list[tuple]]:
-        """Pre-resolve every op's static timing facts into flat tuples."""
-        config = self.config
-        extra = self.extra_latency
-        compiled: list[list[tuple]] = []
-        for ops in self.warp_ops:
-            rows = []
-            for op in ops:
-                category = op.category
-                if category is OpCategory.MEM:
-                    port = _PORT_MEM
-                    delta = -1  # latency comes from the memory model
-                elif category in (OpCategory.ALU, OpCategory.CTRL):
-                    port = _PORT_ALU
-                    if category is OpCategory.CTRL:
-                        latency = config.ctrl_latency
-                    elif op.long_latency:
-                        latency = config.long_alu_latency
-                    else:
-                        latency = config.alu_latency
-                    delta = op.dispatch_cycles + latency + extra
-                else:
-                    port = _PORT_SFU
-                    delta = op.dispatch_cycles + config.sfu_latency + extra
-                rows.append(
-                    (
-                        op.dst,
-                        op.src_regs,
-                        op.src_banks,
-                        op.dispatch_cycles,
-                        port,
-                        delta,
-                        category is OpCategory.CTRL,
-                        op.is_barrier,
-                        op.inserted,
-                        op.mem_segments,
-                        op.is_shared_mem,
-                        op.is_store,
-                    )
-                )
-            compiled.append(rows)
-        return compiled
-
-    # ------------------------------------------------------------------
     def run(self, max_cycles: int = 50_000_000) -> TimingResult:
         config = self.config
         num_warps = self.num_warps
         if num_warps == 0:
             return TimingResult(cycles=0, instructions=0, memory_counts=self.memory.counts)
 
-        compiled = self._compile()
-        oplen = [len(rows) for rows in compiled]
+        warp_rows = self.warp_rows
+        oplen = [len(rows) for rows in warp_rows]
         warps_per_cta = self.warps_per_cta
         extra = self.extra_latency
         memory = self.memory
@@ -253,7 +210,7 @@ class EventSmSimulator:
         last_issued: list[int | None] = [None] * num_schedulers
         rr_pos = [0] * num_schedulers
 
-        # Collector entries are [warp, pending_banks, compiled_row] in
+        # Collector entries are [warp, pending_banks, row] in
         # issue order; ``draining`` counts entries still owing bank reads.
         collectors: list[list] = []
         draining = 0
@@ -313,11 +270,11 @@ class EventSmSimulator:
             pending = scoreboards[warp]
             if not pending:
                 return True
-            row = compiled[warp][pc]
-            dst = row[_DST]
+            row = warp_rows[warp][pc]
+            dst = row[ROW_DST]
             if dst is not None and dst in pending:
                 return False
-            for register in row[_SRC_REGS]:
+            for register in row[ROW_SRC_REGS]:
                 if register in pending:
                     return False
             return True
@@ -440,7 +397,7 @@ class EventSmSimulator:
             if len(collectors) > draining:
                 for collector in [c for c in collectors if not c[1]]:
                     row = collector[2]
-                    ports = port_groups[row[_PORT]]
+                    ports = port_groups[row[ROW_PORT]]
                     port_index = -1
                     for index, busy in enumerate(ports):
                         if busy <= cycle:
@@ -448,24 +405,24 @@ class EventSmSimulator:
                             break
                     if port_index < 0:
                         continue
-                    dispatch = row[_DISPATCH]
+                    dispatch = row[ROW_DISPATCH]
                     ports[port_index] = cycle + dispatch
-                    delta = row[_DELTA]
+                    delta = row[ROW_DELTA]
                     if delta < 0:
-                        if row[_IS_SHARED]:
+                        if row[ROW_IS_SHARED]:
                             latency = access_shared()
                         else:
-                            latency = access_global(row[_MEM_SEGMENTS], row[_IS_STORE])
+                            latency = access_global(row[ROW_MEM_SEGMENTS], row[ROW_IS_STORE])
                         delta = dispatch + latency + extra
                     warp = collector[0]
                     heappush(
                         writebacks,
-                        (cycle + delta, sequence, warp, row[_DST], row[_IS_CTRL]),
+                        (cycle + delta, sequence, warp, row[ROW_DST], row[ROW_IS_CTRL]),
                     )
                     sequence += 1
                     collectors.remove(collector)
                     instructions += 1
-                    if not row[_INSERTED]:
+                    if not row[ROW_INSERTED]:
                         useful_instructions += 1
                     progressed = True
 
@@ -510,11 +467,11 @@ class EventSmSimulator:
                         ) % size
                     ready.discard(slot)
                     warp = slot_warp[slot]
-                    row = compiled[warp][pcs[warp]]
+                    row = warp_rows[warp][pcs[warp]]
                     pcs[warp] += 1
                     issued_counts[scheduler_index] += 1
                     progressed = True
-                    if row[_IS_BARRIER]:
+                    if row[ROW_IS_BARRIER]:
                         instructions += 1
                         useful_instructions += 1
                         if recorder is not None:
@@ -525,36 +482,36 @@ class EventSmSimulator:
                         if pcs[warp] >= oplen[warp] and in_flight[warp] == 0:
                             retirable.add(warp)
                         continue
-                    dst = row[_DST]
+                    dst = row[ROW_DST]
                     if dst is not None:
                         scoreboards[warp].add(dst)
                     in_flight[warp] += 1
-                    if row[_IS_CTRL]:
+                    if row[ROW_IS_CTRL]:
                         blocked_until[warp] = _BLOCKED_ON_BRANCH
                         ready_next = False
                     else:
                         ready_next = sb_ready(warp)
-                    banks = row[_SRC_BANKS]
+                    banks = row[ROW_SRC_BANKS]
                     collectors.append([warp, list(banks), row])
                     if banks:
                         draining += 1
                     if ready_next:
                         ready.add(slot)
                     if recorder is not None:
-                        if row[_IS_CTRL]:
+                        if row[ROW_IS_CTRL]:
                             hint, hint_regs = "branch", ()
                             category = "CTRL"
                         else:
-                            category = _PORT_CATEGORY_NAMES[row[_PORT]]
+                            category = _PORT_CATEGORY_NAMES[row[ROW_PORT]]
                             if pcs[warp] >= oplen[warp]:
                                 hint, hint_regs = "drain", ()
                             elif not ready_next:
-                                nxt = compiled[warp][pcs[warp]]
+                                nxt = warp_rows[warp][pcs[warp]]
                                 pending = scoreboards[warp]
                                 blocking = {
-                                    r for r in nxt[_SRC_REGS] if r in pending
+                                    r for r in nxt[ROW_SRC_REGS] if r in pending
                                 }
-                                next_dst = nxt[_DST]
+                                next_dst = nxt[ROW_DST]
                                 if next_dst is not None and next_dst in pending:
                                     blocking.add(next_dst)
                                 hint, hint_regs = "scoreboard", tuple(sorted(blocking))

@@ -179,7 +179,18 @@ class TestTraceCache:
         assert warm.power("HS", arch).ipc_per_watt == power.ipc_per_watt
         assert warm.timing("HS", arch).cycles == timing.cycles
         assert warm.stats.counters["result_cache_hits"] == 1
-        assert "timing" not in warm.stats.stage_seconds
+        assert "lower" not in warm.stats.stage_seconds
+        assert "sm_sim" not in warm.stats.stage_seconds
+
+    @pytest.mark.parametrize("chunk_events", [None, 64])
+    def test_cold_run_records_lower_and_sm_sim(self, chunk_events):
+        """Timing is reported as its two layers, whole-trace and streamed."""
+        runner = ExperimentRunner(scale="tiny", chunk_events=chunk_events)
+        runner.timing("HS", ArchitectureConfig.gscalar())
+        stages = runner.stats.stage_seconds
+        assert stages["lower"] > 0
+        assert stages["sm_sim"] > 0
+        assert "timing" not in stages
 
     def test_energy_param_change_invalidates_results(self, tmp_path):
         from repro.power.energy import EnergyParams

@@ -3,7 +3,7 @@
 The batch engine (:mod:`repro.scalar.arch_batch`) must be *bit-identical*
 to the per-event :class:`~repro.scalar.architectures.ArchitectureView` —
 same per-event scalar/half/exec-lane columns, same RF-access stream,
-same lowered timing ops and the same power report — on every workload
+same lowered engine rows and the same power report — on every workload
 and every evaluated architecture.  These tests pin that contract at
 each pipeline layer.
 """
@@ -24,11 +24,8 @@ from repro.scalar.columns import (
 from repro.scalar.compiler import MoveElisionAnalysis
 from repro.scalar.tracker import classify_trace
 from repro.simt import MemoryImage, run_kernel
-from repro.timing.gpu import (
-    lower_to_timing_ops,
-    lower_to_timing_ops_columns,
-    simulate_architecture,
-)
+from repro.timing.gpu import lower_to_timing_ops, simulate_architecture
+from repro.timing.ops import build_timing_ops_columns, compile_ops, rows_to_ops
 from repro.analysis.static_.widths import analyze_widths
 from repro.workloads.registry import all_workloads, build_workload
 
@@ -78,6 +75,24 @@ def assert_processed_identical(classified, ccols, arch, warp_size, **kwargs):
     return actual
 
 
+#: Every latency and the bank count changed: engine rows carry resolved
+#: latencies and bank ids, so the default config alone cannot pin them.
+CHANGED_CONFIG = GpuConfig(
+    alu_latency=13, long_alu_latency=41, sfu_latency=29, register_file_banks=8
+)
+
+
+def assert_rows_identical(ccols, pcols, processed, arch, warp_size):
+    """Columnar engine rows equal the compiled event-path ``TimingOp``s,
+    and ``rows_to_ops`` turns those rows back into the same ops (the
+    form the cycle-level reference engine reads)."""
+    for config in (GpuConfig(), CHANGED_CONFIG):
+        ops = lower_to_timing_ops(processed, arch, config, warp_size)
+        expected = compile_ops(ops, config, arch.extra_pipeline_cycles)
+        assert build_timing_ops_columns(ccols, pcols, arch, config) == expected
+        assert rows_to_ops(expected) == ops
+
+
 class TestWorkloadMatrix:
     """Exact array equality on all 17 workloads x all 4 architectures."""
 
@@ -89,20 +104,16 @@ class TestWorkloadMatrix:
 
 
 class TestDownstreamParity:
-    """Timing ops and power reports built from columns match the events."""
+    """Engine rows and power reports built from columns match the events."""
 
-    BENCHES = ("BP", "SR2", "MQ", "HS")
-
-    @pytest.mark.parametrize("abbr", BENCHES)
+    @pytest.mark.parametrize("abbr", WORKLOAD_ABBRS)
     @pytest.mark.parametrize("arch", EVALUATED_ARCHITECTURES, ids=ARCH_IDS)
     def test_timing_ops_and_power_identical(self, abbr, arch):
         trace, classified, ccols = workload_case(abbr)
         config = GpuConfig()
         processed = process_classified(classified, arch, trace.warp_size)
         pcols = process_columns(ccols, arch)
-        assert lower_to_timing_ops_columns(
-            ccols, pcols, arch, config
-        ) == lower_to_timing_ops(processed, arch, config, trace.warp_size)
+        assert_rows_identical(ccols, pcols, processed, arch, trace.warp_size)
         timing = simulate_architecture(processed, arch, config, trace.warp_size)
         accountant = PowerAccountant(arch, config=config)
         assert accountant.account_columns(pcols, timing) == accountant.account(
@@ -112,12 +123,9 @@ class TestDownstreamParity:
     def test_scalar_fast_dispatch_ablation(self):
         trace, classified, ccols = workload_case("BP")
         arch = ArchitectureConfig.gscalar().replace(scalar_fast_dispatch=True)
-        config = GpuConfig()
         processed = process_classified(classified, arch, trace.warp_size)
         pcols = process_columns(ccols, arch)
-        assert lower_to_timing_ops_columns(
-            ccols, pcols, arch, config
-        ) == lower_to_timing_ops(processed, arch, config, trace.warp_size)
+        assert_rows_identical(ccols, pcols, processed, arch, trace.warp_size)
 
 
 class TestMoveElision:
@@ -208,9 +216,7 @@ class TestStaticCompress:
             classified, self.ARCH, trace.warp_size, static_widths=widths
         )
         pcols = process_columns(ccols, self.ARCH, static_widths=widths)
-        assert lower_to_timing_ops_columns(
-            ccols, pcols, self.ARCH, config
-        ) == lower_to_timing_ops(processed, self.ARCH, config, trace.warp_size)
+        assert_rows_identical(ccols, pcols, processed, self.ARCH, trace.warp_size)
         timing = simulate_architecture(
             processed, self.ARCH, config, trace.warp_size
         )

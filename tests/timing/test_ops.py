@@ -1,13 +1,20 @@
 """Unit tests for trace-to-timing-op lowering."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import ArchitectureConfig, GpuConfig
 from repro.isa import KernelBuilder
 from repro.isa.opcodes import OpCategory
 from repro.scalar.architectures import process_trace
 from repro.simt import MemoryImage
-from repro.timing.ops import SCALAR_RF_BANK, build_timing_ops, coalesce_addresses
+from repro.timing.ops import (
+    SCALAR_RF_BANK,
+    build_timing_ops,
+    coalesce_addresses,
+    coalesce_rows,
+)
 
 from tests.conftest import run_one_warp
 
@@ -51,6 +58,63 @@ class TestCoalescing:
     def test_empty_mask(self):
         addrs = np.zeros(32, dtype=np.uint32)
         assert coalesce_addresses(addrs, 0, 32) == ()
+
+
+@st.composite
+def access_rows(draw):
+    """A batch of (addresses, mask) accesses at warp 32 or 64.
+
+    Addresses come from a few segments so duplicates are common; masks
+    lean on the edge cases: none, all lanes and the top lane alone.
+    """
+    warp_size = draw(st.sampled_from([32, 64]))
+    full = (1 << warp_size) - 1
+    count = draw(st.integers(min_value=0, max_value=6))
+    mask = st.one_of(
+        st.sampled_from([0, full, 1 << (warp_size - 1)]),
+        st.integers(min_value=0, max_value=full),
+    )
+    masks = draw(st.lists(mask, min_size=count, max_size=count))
+    lane = st.integers(min_value=0, max_value=6).map(lambda s: 0x4000 + 128 * s)
+    offset = st.integers(min_value=0, max_value=127)
+    rows = draw(
+        st.lists(
+            st.lists(
+                st.tuples(lane, offset).map(sum),
+                min_size=warp_size,
+                max_size=warp_size,
+            ),
+            min_size=count,
+            max_size=count,
+        )
+    )
+    addresses = np.array(rows, dtype=np.uint32).reshape(count, warp_size)
+    return addresses, masks, warp_size
+
+
+class TestVectorisedCoalescing:
+    """``coalesce_rows`` is ``coalesce_addresses`` over a whole batch."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(batch=access_rows())
+    def test_equals_per_access_reference(self, batch):
+        addresses, masks, warp_size = batch
+        counts, segments = coalesce_rows(
+            addresses, np.array(masks, dtype=np.uint64)
+        )
+        expected = [
+            coalesce_addresses(row, mask, warp_size)
+            for row, mask in zip(addresses, masks)
+        ]
+        assert counts.tolist() == [len(segs) for segs in expected]
+        assert segments.tolist() == [s for segs in expected for s in segs]
+
+    def test_top_lane_of_a_64_wide_warp(self):
+        addresses = np.zeros((1, 64), dtype=np.uint32)
+        addresses[0, 63] = 0x8000
+        counts, segments = coalesce_rows(addresses, np.array([1 << 63], dtype=np.uint64))
+        assert counts.tolist() == [1]
+        assert segments.tolist() == [0x8000 // 128]
 
 
 class TestDispatchCycles:

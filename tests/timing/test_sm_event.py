@@ -25,7 +25,7 @@ from repro.scalar.architectures import process_classified
 from repro.scalar.batch import classify_trace_with
 from repro.simt.executor import run_kernel
 from repro.timing.gpu import lower_to_timing_ops
-from repro.timing.ops import TimingOp
+from repro.timing.ops import TimingOp, compile_ops
 from repro.timing.sm import SmSimulator
 from repro.timing.sm_event import (
     DEFAULT_SM_ENGINE,
@@ -55,7 +55,10 @@ def _run_both(warp_ops, config, extra_latency=0, warps_per_cta=None):
         warp_ops, config, extra_latency=extra_latency, warps_per_cta=warps_per_cta
     ).run(max_cycles=2_000_000)
     got = EventSmSimulator(
-        warp_ops, config, extra_latency=extra_latency, warps_per_cta=warps_per_cta
+        compile_ops(warp_ops, config, extra_latency),
+        config,
+        extra_latency=extra_latency,
+        warps_per_cta=warps_per_cta,
     ).run(max_cycles=2_000_000)
     return ref, got
 
@@ -177,12 +180,13 @@ class TestEngineFactory:
             category=OpCategory.ALU, dst=0, src_regs=(), src_banks=(),
             dispatch_cycles=2, long_latency=False, is_store=False,
         )]]
+        rows = compile_ops(ops, GpuConfig())
         assert isinstance(
-            create_sm_simulator("event", ops, GpuConfig()), EventSmSimulator
+            create_sm_simulator("event", rows, GpuConfig()), EventSmSimulator
         )
-        assert isinstance(
-            create_sm_simulator("cycle", ops, GpuConfig()), SmSimulator
-        )
+        cycle = create_sm_simulator("cycle", rows, GpuConfig())
+        assert isinstance(cycle, SmSimulator)
+        assert cycle.warp_ops == ops
 
     def test_factory_rejects_unknown_engine(self):
         with pytest.raises(TimingError):
