@@ -11,8 +11,9 @@ a cached stage actually depends on:
   trace format version;
 * **classified columns** — the trace fingerprint plus the classifier
   engine and stage version;
-* **processed columns** — the same plus the architecture and GPU
-  configuration;
+* **processed columns** — the same plus the architecture (the
+  interpretation never reads the GPU configuration, so a latency sweep
+  replays them);
 * **timing/power results** — the trace fingerprint, the architecture
   configuration, the GPU configuration, the energy parameters, the
   engines and the stage version.
@@ -132,7 +133,6 @@ def columns_fingerprint(
 def processed_fingerprint(
     trace_fp: str,
     arch: ArchitectureConfig,
-    config: GpuConfig,
     stage_version: int,
     engine: str = "batch",
     classifier: str = "batch",
@@ -141,14 +141,13 @@ def processed_fingerprint(
     """Fingerprint identifying one :class:`ProcessedColumns` bank set.
 
     Processed columns depend on the architecture interpretation but not
-    on the SM timing engine or the energy parameters — unlike
-    :func:`stage_fingerprint` for the timing/power results — so they
-    get their own, narrower closure: swapping ``--sm-engine`` reuses
-    the processed banks while re-simulating, exactly as it should.
+    on the GPU configuration, the SM timing engine or the energy
+    parameters — unlike :func:`stage_fingerprint` for the timing/power
+    results — so they get their own, narrower closure: a latency sweep
+    or a swapped ``--sm-engine`` reuses the processed banks while
+    re-simulating, exactly as it should.
     """
-    parts = [
-        "pcols", stage_version, trace_fp, arch, config, engine, classifier,
-    ]
+    parts = ["pcols", stage_version, trace_fp, arch, engine, classifier]
     if analysis_version is not None:
         parts.append(("analysis", analysis_version))
     return fingerprint(*parts)
@@ -184,3 +183,14 @@ def stage_fingerprint(
     if analysis_version is not None:
         parts.append(("analysis", analysis_version))
     return fingerprint(*parts)
+
+
+def config_digest(config: GpuConfig, params: EnergyParams) -> str:
+    """Short digest of the simulated machine, for result entry names.
+
+    A results entry's name carries it so every (GPU configuration,
+    energy parameters) point of a sweep keeps its own entry instead of
+    overwriting the previous point's; the manifest fingerprint still
+    decides staleness.
+    """
+    return fingerprint("config", config, params)[:8]

@@ -5,19 +5,30 @@ configuration and lazily computes, per benchmark:
 
 * the functional trace (executed once, shared by every architecture),
 * the classified event stream (tracker output, architecture-independent),
-* per-architecture processed events, timing results and power reports.
+* per-architecture timing results and power reports.
 
 Every figure regenerator takes a runner, so a full ``python -m repro all``
 executes each benchmark exactly once.
 
+The batch engines have one driver: a grid of trace chunks, each
+classified, interpreted, aggregated for power and lowered to engine
+rows in turn, then one SM simulation over the assembled rows.  Without
+``chunk_events`` the grid is a single chunk spanning the trace, whose
+classified columns come from the shared classified stream and stay in
+memory for every architecture's pass; ``--chunk-events N`` classifies
+chunk by chunk with the carry threaded through.  The
+``--arch-engine=event`` path (per-event interpretation and lowering) is
+kept as the differential oracle.
+
 With ``cache_dir`` set, every persisted stage lives on disk in one
 format, the v5 manifest + page-aligned bank layout
 (:mod:`repro.experiments.store`), so it can be shared *across*
-processes: traces, classified columns and processed columns as banks a
-warm hit memory-maps read-only instead of deserializing, and
-per-architecture timing/power results as one ``results`` entry per
-(benchmark, architecture).  The per-event classified stream is not
-persisted: reclassifying a mapped trace is faster than unpickling it.
+processes: traces and each chunk's classified and processed columns as
+banks a warm hit memory-maps read-only instead of deserializing (behind
+a grid index written last), and per-architecture timing/power results
+as one ``results`` entry per (benchmark, architecture, GPU/energy
+configuration).  The per-event classified stream is not persisted:
+reclassifying a mapped trace is faster than unpickling it.
 
 Each entry embeds a content fingerprint
 (:mod:`repro.experiments.cachekey`) covering the kernel, scale, warp
@@ -56,7 +67,6 @@ from repro.scalar.arch_batch import (
     ARCH_ENGINE_CHOICES,
     DEFAULT_ARCH_ENGINE,
     ArchCarry,
-    process_columns,
     process_columns_chunk,
 )
 from repro.scalar.architectures import ProcessedEvent, process_classified
@@ -78,12 +88,7 @@ from repro.simt.trace import (
     iter_chunks,
     opcode_labels,
 )
-from repro.timing.gpu import (
-    lower_to_timing_ops,
-    simulate_architecture,
-    simulate_architecture_columns,
-    simulate_warp_rows,
-)
+from repro.timing.gpu import lower_to_timing_ops, simulate_warp_rows
 from repro.timing.ops import build_timing_ops_columns, compile_ops
 from repro.timing.sm import TimingResult
 from repro.timing.sm_event import DEFAULT_SM_ENGINE, SM_ENGINE_CHOICES
@@ -112,8 +117,9 @@ from repro.workloads.synth import (
 #: ``stalls_per_scheduler``), changing the pickled timing-result shape.
 STAGE_VERSION = 6
 
-#: Chunk size used when a synthetic (``synthetic_events > 0``) scale is
-#: streamed without an explicit ``--chunk-events``.
+#: Chunk size that ``bench --streaming`` and the benchmark stream the
+#: ``--scale=large`` tier in.  The runner never applies it on its own:
+#: without ``--chunk-events`` its grid is one chunk spanning the trace.
 DEFAULT_STREAM_CHUNK = 65536
 
 
@@ -440,8 +446,12 @@ class ExperimentRunner:
         self._warp_traces: dict[tuple[str, int], KernelTrace] = {}
         self._static_widths: dict[str, tuple[int, ...]] = {}
         self._processed: dict[tuple[str, str], list[list[ProcessedEvent]]] = {}
-        self._classified_columns: dict[str, ClassifiedColumns] = {}
-        self._processed_columns: dict[tuple[str, str], ProcessedColumns] = {}
+        #: Grid-size token of every chunk stem: a ``--chunk-events N``
+        #: grid and the one-chunk grid never share an entry.
+        self._grid = "all" if chunk_events is None else str(chunk_events)
+        #: The one-chunk grid's ``(meta, ccols)`` fragment per benchmark,
+        #: shared by every architecture's pass.
+        self._whole_fragments: dict[str, tuple[dict, ClassifiedColumns]] = {}
         self._timing: dict[tuple[str, str], TimingResult] = {}
         self._power: dict[tuple[str, str], PowerReport] = {}
 
@@ -763,83 +773,6 @@ class ExperimentRunner:
         if hints:
             self.stats.bump("bank_hints_adopted", len(hints))
 
-    def classified_columns(self, abbr: str) -> ClassifiedColumns:
-        """Columnar classified stream (architecture-independent, shared
-        by every architecture's batch interpretation).
-
-        Persisted as v5 ``ccols`` banks: a warm hit maps the arrays
-        read-only and never classifies.
-        """
-        key = self._normalize(abbr)
-        if key not in self._classified_columns:
-            run = self.run(key)
-            fingerprint = cachekey.columns_fingerprint(
-                run.trace_fingerprint, STAGE_VERSION, self.classifier
-            )
-            stem = self._stage_stem(key, "ccols")
-            entry = self._load_banks(stem, fingerprint, "ccols")
-            if entry is not None:
-                self._classified_columns[key] = ClassifiedColumns.from_arrays(
-                    int(entry.meta["warp_size"]), entry.arrays
-                )
-                return self._classified_columns[key]
-            with self.stats.timer("columns", benchmark=key):
-                ccols = ClassifiedColumns.from_classified(
-                    run.classified, run.warp_size, columnar=run.columnar
-                )
-            self._store_banks(
-                stem,
-                fingerprint,
-                "ccols",
-                meta={"warp_size": int(ccols.warp_size)},
-                arrays=ccols.as_arrays(),
-            )
-            self._classified_columns[key] = ccols
-        return self._classified_columns[key]
-
-    def processed_columns(self, abbr: str, arch: ArchitectureConfig) -> ProcessedColumns:
-        """Per-architecture columnar processed trace for one benchmark.
-
-        Persisted as v5 ``pcols`` banks keyed on the interpretation
-        closure only (not the SM engine or energy parameters), so
-        re-simulating under a different SM engine replays these banks
-        instead of re-interpreting.
-        """
-        key = (self._normalize(abbr), arch.name)
-        if key not in self._processed_columns:
-            run = self.run(key[0])
-            fingerprint = cachekey.processed_fingerprint(
-                run.trace_fingerprint,
-                arch,
-                self.config,
-                STAGE_VERSION,
-                engine=self.arch_engine,
-                classifier=self.classifier,
-                analysis_version=(
-                    WIDTH_ANALYSIS_VERSION if arch.static_compression else None
-                ),
-            )
-            stem = self._stage_stem(key[0], f"pcols_{arch.name}")
-            entry = self._load_banks(stem, fingerprint, "pcols")
-            if entry is not None:
-                self._processed_columns[key] = ProcessedColumns.from_arrays(
-                    int(entry.meta["warp_size"]), entry.arrays
-                )
-                return self._processed_columns[key]
-            ccols = self.classified_columns(key[0])
-            widths = self._widths_for(key[0], arch)
-            with self.stats.timer("process", benchmark=key[0], arch=arch.name):
-                pcols = process_columns(ccols, arch, static_widths=widths)
-            self._store_banks(
-                stem,
-                fingerprint,
-                "pcols",
-                meta={"warp_size": int(pcols.warp_size)},
-                arrays=pcols.as_arrays(),
-            )
-            self._processed_columns[key] = pcols
-        return self._processed_columns[key]
-
     def _results_fingerprint(self, run: BenchmarkRun, arch: ArchitectureConfig) -> str:
         return cachekey.stage_fingerprint(
             run.trace_fingerprint,
@@ -854,12 +787,18 @@ class ExperimentRunner:
             ),
         )
 
+    def _results_stem(self, key: str, arch: ArchitectureConfig) -> str:
+        """Results stem: one per (GPU configuration, energy parameters)
+        point, so a sweep never overwrites another point's entry."""
+        digest = cachekey.config_digest(self.config, self.params)
+        return self._stage_stem(key, f"results_{arch.name}_{digest}")
+
     def _load_results(self, key: str, arch: ArchitectureConfig) -> bool:
         """Try the timing/power entry; ``True`` when both were restored."""
         if self.cache_dir is None:
             return False
         entry = self._load_banks(
-            self._stage_stem(key, f"results_{arch.name}"),
+            self._results_stem(key, arch),
             self._results_fingerprint(self.run(key), arch),
             "results",
             counter="result",
@@ -875,7 +814,7 @@ class ExperimentRunner:
         if self.cache_dir is None:
             return
         self._store_banks(
-            self._stage_stem(key, f"results_{arch.name}"),
+            self._results_stem(key, arch),
             self._results_fingerprint(self.run(key), arch),
             "results",
             objects={
@@ -889,47 +828,43 @@ class ExperimentRunner:
         run = self.run(self._normalize(abbr))
         return run.built.launch.warps_per_cta(run.warp_size)
 
-    def _compute_timing(self, key: str, arch: ArchitectureConfig) -> None:
-        """Lower to engine rows, then simulate: the ``lower`` and
-        ``sm_sim`` stages.  The inputs are materialized first, so their
-        own stages never nest inside ``lower``."""
-        self._log(f"timing {key} on {arch.name}")
+    def _simulate_event_path(
+        self, key: str, arch: ArchitectureConfig, recorder=None, sm_engine=None
+    ) -> TimingResult:
+        """The ``--arch-engine=event`` oracle: per-event interpretation,
+        :class:`TimingOp` lowering, then the SM simulation.  The inputs
+        are materialized first, so their own stages never nest inside
+        ``lower``."""
         run = self.run(key)
-        warps_per_cta = run.built.launch.warps_per_cta(run.warp_size)
-        if self.arch_engine == "batch":
-            ccols = self.classified_columns(key)
-            pcols = self.processed_columns(key, arch)
-            with self.stats.timer("lower", benchmark=key, arch=arch.name):
-                warp_rows = build_timing_ops_columns(ccols, pcols, arch, self.config)
-        else:
-            processed = self.processed(key, arch)
-            with self.stats.timer("lower", benchmark=key, arch=arch.name):
-                warp_rows = compile_ops(
-                    lower_to_timing_ops(processed, arch, self.config, run.warp_size),
-                    self.config,
-                    arch.extra_pipeline_cycles,
-                )
-        with self.stats.timer(
-            "sm_sim", benchmark=key, arch=arch.name, sm_engine=self.sm_engine
-        ):
-            self._timing[(key, arch.name)] = simulate_warp_rows(
+        engine = sm_engine or self.sm_engine
+        processed = self.processed(key, arch)
+        with self.stats.timer("lower", benchmark=key, arch=arch.name):
+            warp_rows = compile_ops(
+                lower_to_timing_ops(processed, arch, self.config, run.warp_size),
+                self.config,
+                arch.extra_pipeline_cycles,
+            )
+        with self.stats.timer("sm_sim", benchmark=key, arch=arch.name, sm_engine=engine):
+            return simulate_warp_rows(
                 warp_rows,
                 arch,
                 self.config,
-                warps_per_cta=warps_per_cta,
-                sm_engine=self.sm_engine,
+                warps_per_cta=run.built.launch.warps_per_cta(run.warp_size),
+                sm_engine=engine,
+                recorder=recorder,
             )
 
     # ------------------------------------------------------------------
-    # Chunk-streaming compute (``chunk_events`` set).
+    # The batch driver: a grid of chunks, one chunk without
+    # ``chunk_events``.
     # ------------------------------------------------------------------
     def _chunk_stem(self, key: str, stage: str, index: int) -> str:
         """Stem of one per-chunk v5 bank entry (grid size in the name,
-        so different chunk sizes never collide)."""
-        return self._stage_stem(key, f"{stage}_ck{self.chunk_events}_{index:05d}")
+        so grids of different sizes never collide)."""
+        return self._stage_stem(key, f"{stage}_ck{self._grid}_{index:05d}")
 
     def _chunk_index_stem(self, key: str) -> str:
-        return self._stage_stem(key, f"ccols_ck{self.chunk_events}_idx")
+        return self._stage_stem(key, f"ccols_ck{self._grid}_idx")
 
     def _chunk_stream(self, key: str) -> Iterator:
         """The chunk source: replica generator for synthetic tiers
@@ -945,6 +880,11 @@ class ExperimentRunner:
             run._columnar = columnar
         return iter_chunks(columnar, self.chunk_events)
 
+    def _columns_fingerprint(self, key: str) -> str:
+        return cachekey.columns_fingerprint(
+            self.run(key).trace_fingerprint, STAGE_VERSION, self.classifier
+        )
+
     def _warm_chunk_index(self, key: str, fingerprint: str) -> dict | None:
         """The chunk-grid index entry's meta, on a clean hit only."""
         if self.cache_dir is None:
@@ -957,7 +897,7 @@ class ExperimentRunner:
                 self._log(f"discarding {status} chunk index for {key}")
                 self.stats.bump("sidecar_invalid")
             return None
-        if int(entry.meta.get("chunk_events", -1)) != self.chunk_events:
+        if entry.meta.get("chunk_events") != self.chunk_events:
             return None
         return entry.meta
 
@@ -982,6 +922,49 @@ class ExperimentRunner:
             self._bank_hints[stem] = fingerprint
         return True
 
+    def _classify_chunks(self, key: str) -> Iterator[tuple[dict, ClassifiedColumns]]:
+        """Cold ``(chunk_meta, ccols)`` fragments of the runner's grid.
+
+        The one-chunk grid reuses ``run.classified`` — the per-event
+        stream the figures share — so a run classifies once.  A
+        multi-chunk grid classifies chunk by chunk with the carry
+        threaded through, never holding the whole classified stream.
+        """
+        run = self.run(key)
+        if self.chunk_events is None:
+            classified = run.classified
+            with self.stats.timer("columns", benchmark=key):
+                ccols = ClassifiedColumns.from_classified(
+                    classified, run.warp_size, columnar=run.columnar
+                )
+            yield {
+                "warp_size": int(ccols.warp_size),
+                "index": 0,
+                "start_event": 0,
+                "warp_start": 0,
+                "first_warp_continued": False,
+                "last_warp_continues": False,
+            }, ccols
+            return
+        carry = ClassifierCarry()
+        for chunk in self._chunk_stream(key):
+            with self.stats.timer("classify", benchmark=key):
+                classified = classify_columnar_chunk(
+                    chunk, run.built.kernel.num_registers, carry
+                )
+                ccols = ClassifiedColumns.from_classified(
+                    classified, chunk.columnar.warp_size, columnar=chunk.columnar
+                )
+            del classified
+            yield {
+                "warp_size": int(ccols.warp_size),
+                "index": int(chunk.index),
+                "start_event": int(chunk.start_event),
+                "warp_start": int(chunk.warp_start),
+                "first_warp_continued": bool(chunk.first_warp_continued),
+                "last_warp_continues": bool(chunk.last_warp_continues),
+            }, ccols
+
     def _iter_ccols_fragments(
         self, key: str, force_cold: bool = False
     ) -> Iterator[tuple[dict, ClassifiedColumns]]:
@@ -989,15 +972,17 @@ class ExperimentRunner:
 
         Warm: every chunk's ``ccols`` banks verified present up front,
         then streamed one memory-mapped fragment at a time — the full
-        classified columns never coexist.  Cold: classify each chunk
-        with the carry threaded through, persist its banks, and write
-        the grid index entry last (so a crashed writer never leaves a
-        complete-looking index over missing chunks).
+        classified columns never coexist.  Cold: classify, persist each
+        chunk's banks, and write the grid index entry last (so a crashed
+        writer never leaves a complete-looking index over missing
+        chunks).  The one-chunk grid's fragment stays in memory, so
+        every architecture's pass reuses it.
         """
-        run = self.run(key)
-        fingerprint = cachekey.columns_fingerprint(
-            run.trace_fingerprint, STAGE_VERSION, self.classifier
-        )
+        whole = self._whole_fragments.get(key)
+        if whole is not None:
+            yield whole
+            return
+        fingerprint = self._columns_fingerprint(key)
         if not force_cold:
             index = self._warm_chunk_index(key, fingerprint)
             if index is not None:
@@ -1010,36 +995,26 @@ class ExperimentRunner:
                         entry = self._load_banks(stem, fingerprint, "ccols")
                         if entry is None:
                             raise _ChunkBankMiss(stem)
-                        yield entry.meta, ClassifiedColumns.from_arrays(
+                        fragment = entry.meta, ClassifiedColumns.from_arrays(
                             int(entry.meta["warp_size"]), entry.arrays
                         )
+                        if self.chunk_events is None:
+                            self._whole_fragments[key] = fragment
+                        yield fragment
                     return
-        carry = ClassifierCarry()
         chunk_metas: list[dict] = []
-        for chunk in self._chunk_stream(key):
-            with self.stats.timer("classify", benchmark=key):
-                classified = classify_columnar_chunk(
-                    chunk, run.built.kernel.num_registers, carry
-                )
-                ccols = ClassifiedColumns.from_classified(
-                    classified, chunk.columnar.warp_size, columnar=chunk.columnar
-                )
-            del classified
-            meta = {
-                "warp_size": int(ccols.warp_size),
-                "index": int(chunk.index),
-                "start_event": int(chunk.start_event),
-                "warp_start": int(chunk.warp_start),
-                "first_warp_continued": bool(chunk.first_warp_continued),
-                "last_warp_continues": bool(chunk.last_warp_continues),
-            }
+        for meta, ccols in self._classify_chunks(key):
+            if self.cache_dir is not None:
+                self.stats.bump("ccols_cache_misses")
             self._store_banks(
-                self._chunk_stem(key, "ccols", chunk.index),
+                self._chunk_stem(key, "ccols", meta["index"]),
                 fingerprint,
                 "ccols",
                 meta=meta,
                 arrays=ccols.as_arrays(),
             )
+            if self.chunk_events is None:
+                self._whole_fragments[key] = meta, ccols
             chunk_metas.append(meta)
             yield meta, ccols
         self._store_banks(
@@ -1047,24 +1022,30 @@ class ExperimentRunner:
             fingerprint,
             "ckidx",
             meta={
-                "chunk_events": int(self.chunk_events),
+                "chunk_events": self.chunk_events,
                 "num_chunks": len(chunk_metas),
                 "chunks": chunk_metas,
             },
         )
 
     def _stream_arch_pass(
-        self, key: str, arch: ArchitectureConfig, force_cold: bool = False
-    ) -> None:
-        """One architecture's full streamed pass: chunked classify /
-        process / aggregate, then the SM simulation barrier."""
+        self,
+        key: str,
+        arch: ArchitectureConfig,
+        force_cold: bool = False,
+        recorder=None,
+        sm_engine: str | None = None,
+    ) -> tuple[TimingResult, PowerReport]:
+        """One architecture's full pass over the grid: per chunk
+        classify / process / aggregate / lower, then the SM simulation
+        barrier and the power evaluation."""
         run = self.run(key)
+        engine = sm_engine or self.sm_engine
         widths = self._widths_for(key, arch)
         accountant = PowerAccountant(arch, self.params, self.config)
         pfp = cachekey.processed_fingerprint(
             run.trace_fingerprint,
             arch,
-            self.config,
             STAGE_VERSION,
             engine=self.arch_engine,
             classifier=self.classifier,
@@ -1072,12 +1053,9 @@ class ExperimentRunner:
                 WIDTH_ANALYSIS_VERSION if arch.static_compression else None
             ),
         )
-        cfp = cachekey.columns_fingerprint(
-            run.trace_fingerprint, STAGE_VERSION, self.classifier
-        )
         pcols_warm = False
         if not force_cold:
-            index = self._warm_chunk_index(key, cfp)
+            index = self._warm_chunk_index(key, self._columns_fingerprint(key))
             if index is not None:
                 pcols_warm = self._chunks_all_present(
                     [
@@ -1091,18 +1069,17 @@ class ExperimentRunner:
         warp_rows: list[list[tuple]] = []
         for meta, ccols in self._iter_ccols_fragments(key, force_cold=force_cold):
             warp_start = int(meta["warp_start"])
+            stem = self._chunk_stem(key, f"pcols_{arch.name}", int(meta["index"]))
             if pcols_warm:
-                entry = self._load_banks(
-                    self._chunk_stem(key, f"pcols_{arch.name}", int(meta["index"])),
-                    pfp,
-                    "pcols",
-                )
+                entry = self._load_banks(stem, pfp, "pcols")
                 if entry is None:
-                    raise _ChunkBankMiss(f"pcols_{arch.name} chunk {meta['index']}")
+                    raise _ChunkBankMiss(stem)
                 pcols = ProcessedColumns.from_arrays(
                     int(entry.meta["warp_size"]), entry.arrays
                 )
             else:
+                if self.cache_dir is not None:
+                    self.stats.bump("pcols_cache_misses")
                 with self.stats.timer("process", benchmark=key, arch=arch.name):
                     pcols = process_columns_chunk(
                         ccols,
@@ -1114,7 +1091,7 @@ class ExperimentRunner:
                         static_widths=widths,
                     )
                 self._store_banks(
-                    self._chunk_stem(key, f"pcols_{arch.name}", int(meta["index"])),
+                    stem,
                     pfp,
                     "pcols",
                     meta={
@@ -1136,24 +1113,25 @@ class ExperimentRunner:
                 _array_bytes(ccols) + _array_bytes(pcols), self.stats.telemetry
             )
             record_peak_rss(self.stats.telemetry)
-        warps_per_cta = run.built.launch.warps_per_cta(run.warp_size)
         with self.stats.timer(
-            "sm_sim", benchmark=key, arch=arch.name, sm_engine=self.sm_engine
+            "sm_sim", benchmark=key, arch=arch.name, sm_engine=engine
         ):
             timing = simulate_warp_rows(
                 warp_rows,
                 arch,
                 self.config,
-                warps_per_cta=warps_per_cta,
-                sm_engine=self.sm_engine,
+                warps_per_cta=run.built.launch.warps_per_cta(run.warp_size),
+                sm_engine=engine,
+                recorder=recorder,
             )
         with self.stats.timer("power", benchmark=key, arch=arch.name):
             power = accountant.account_aggregates(agg, timing)
-        self._timing[(key, arch.name)] = timing
-        self._power[(key, arch.name)] = power
+        return timing, power
 
-    def _compute_streamed(self, key: str, arch: ArchitectureConfig) -> None:
-        """Streamed timing + power for one pair (fills both caches).
+    def _compute_streamed(
+        self, key: str, arch: ArchitectureConfig, recorder=None, sm_engine=None
+    ) -> tuple[TimingResult, PowerReport]:
+        """Timing + power for one pair from one pass over the grid.
 
         A chunk bank vanishing between the up-front presence probe and
         its load (concurrent sweep) aborts the pass; carry state cannot
@@ -1161,22 +1139,44 @@ class ExperimentRunner:
         """
         self._log(f"streaming {key} on {arch.name} (chunk_events={self.chunk_events})")
         try:
-            self._stream_arch_pass(key, arch)
+            return self._stream_arch_pass(
+                key, arch, recorder=recorder, sm_engine=sm_engine
+            )
         except _ChunkBankMiss as exc:
             self._log(f"chunk bank vanished mid-stream ({exc}); recomputing cold")
             self.stats.bump("stream_cold_restarts")
-            self._stream_arch_pass(key, arch, force_cold=True)
-        self._store_results(key, arch)
+            return self._stream_arch_pass(
+                key, arch, force_cold=True, recorder=recorder, sm_engine=sm_engine
+            )
+
+    def _results(
+        self, abbr: str, arch: ArchitectureConfig
+    ) -> tuple[TimingResult, PowerReport]:
+        """Timing and power for one pair: replayed, or computed together
+        and stored as one ``results`` entry."""
+        key = self._normalize(abbr)
+        pair = (key, arch.name)
+        if pair not in self._timing and not self._load_results(key, arch):
+            if self.arch_engine == "batch":
+                timing, power = self._compute_streamed(key, arch)
+            else:
+                self._log(f"timing {key} on {arch.name}")
+                timing = self._simulate_event_path(key, arch)
+                accountant = PowerAccountant(arch, self.params, self.config)
+                with self.stats.timer("power", benchmark=key, arch=arch.name):
+                    power = accountant.account(self.processed(key, arch), timing)
+            self._timing[pair] = timing
+            self._power[pair] = power
+            self._store_results(key, arch)
+        return self._timing[pair], self._power[pair]
 
     def timing(self, abbr: str, arch: ArchitectureConfig) -> TimingResult:
         """Cycle-level result for one (benchmark, architecture) pair."""
-        key = self._normalize(abbr)
-        if (key, arch.name) not in self._timing and not self._load_results(key, arch):
-            if self.chunk_events is not None:
-                self._compute_streamed(key, arch)
-            else:
-                self._compute_timing(key, arch)
-        return self._timing[(key, arch.name)]
+        return self._results(abbr, arch)[0]
+
+    def power(self, abbr: str, arch: ArchitectureConfig) -> PowerReport:
+        """Power report for one (benchmark, architecture) pair."""
+        return self._results(abbr, arch)[1]
 
     def timeline(
         self,
@@ -1196,52 +1196,17 @@ class ExperimentRunner:
         """
         key = self._normalize(abbr)
         engine = sm_engine or self.sm_engine
-        run = self.run(key)
-        warps_per_cta = run.built.launch.warps_per_cta(run.warp_size)
         self._log(f"timeline {key} on {arch.name} ({engine} engine)")
         with self.stats.timer(
             "timeline", benchmark=key, arch=arch.name, sm_engine=engine
         ):
             if self.arch_engine == "batch":
-                return simulate_architecture_columns(
-                    self.classified_columns(key),
-                    self.processed_columns(key, arch),
-                    arch,
-                    self.config,
-                    warps_per_cta=warps_per_cta,
-                    sm_engine=engine,
-                    recorder=recorder,
-                )
-            return simulate_architecture(
-                self.processed(key, arch),
-                arch,
-                self.config,
-                warps_per_cta=warps_per_cta,
-                sm_engine=engine,
-                recorder=recorder,
+                return self._compute_streamed(
+                    key, arch, recorder=recorder, sm_engine=engine
+                )[0]
+            return self._simulate_event_path(
+                key, arch, recorder=recorder, sm_engine=engine
             )
-
-    def power(self, abbr: str, arch: ArchitectureConfig) -> PowerReport:
-        """Power report for one (benchmark, architecture) pair."""
-        key = self._normalize(abbr)
-        if (key, arch.name) not in self._power and not self._load_results(key, arch):
-            timing = self.timing(key, arch)
-            if (key, arch.name) in self._power:
-                # A streamed timing pass accounts power chunk by chunk
-                # alongside timing, so both landed in one pass.
-                return self._power[(key, arch.name)]
-            accountant = PowerAccountant(arch, self.params, self.config)
-            with self.stats.timer("power", benchmark=key, arch=arch.name):
-                if self.arch_engine == "batch":
-                    self._power[(key, arch.name)] = accountant.account_columns(
-                        self.processed_columns(key, arch), timing
-                    )
-                else:
-                    self._power[(key, arch.name)] = accountant.account(
-                        self.processed(key, arch), timing
-                    )
-            self._store_results(key, arch)
-        return self._power[(key, arch.name)]
 
     # ------------------------------------------------------------------
     # Matrix prefetch (the parallel experiment engine's front door).

@@ -413,114 +413,43 @@ def classify_columnar_batch(
 ) -> tuple[KernelTrace, list[list[ClassifiedEvent]]]:
     """Batch-classify straight off the columnar arrays.
 
-    Returns ``(trace, classified)`` where ``trace`` is the event form
-    materialized exactly once — each :class:`TraceEvent` is shared
+    The whole trace runs as one :class:`~repro.simt.trace.TraceChunk`
+    through :func:`classify_columnar_chunk`.  Returns ``(trace,
+    classified)`` where ``trace`` is rebuilt from the classified
+    events' own :class:`TraceEvent` objects — each event is shared
     between the returned trace and the classified stream, and snapshot
     rows are views into the columnar value matrix (nothing downstream
     mutates them), so a cache hit pays one object per event instead of
     a reconstruct-then-classify double pass.
     """
-    if num_registers < 0:
-        raise TraceError(f"num_registers must be >= 0, got {num_registers}")
-    warp_size = columnar.warp_size
     telemetry = get_telemetry()
-    trace = KernelTrace(kernel_name=columnar.kernel_name, warp_size=warp_size)
-    classified: list[list[ClassifiedEvent]] = []
-
-    opcode_ids = columnar.opcode_ids.tolist()
-    dst = columnar.dst.tolist()
-    mask_ints = columnar.masks.tolist()
-    blocks = columnar.blocks.tolist()
-    varying = columnar.varying.tolist()
-    scalar_nonreg = columnar.scalar_nonreg.tolist()
-    src_offsets = columnar.src_offsets.tolist()
-    src_flat = columnar.src_flat.tolist()
-    values_index = columnar.values_index.tolist()
-    addr_index = columnar.addr_index.tolist()
-    values_matrix = columnar.values
-    addresses_matrix = columnar.addresses
-    lane_limit = 1 << warp_size
-
-    if warp_size % 2 == 0 and columnar.num_events:
-        # One whole-trace encoding batch: the write rows of every warp
-        # in one matrix, sliced back per warp below via searchsorted.
-        write_positions_all = np.flatnonzero(
-            (columnar.dst >= 0) & (columnar.values_index >= 0)
-        )
-        if write_positions_all.size:
-            all_encodings = _write_encodings(
-                np.ascontiguousarray(
-                    values_matrix[columnar.values_index[write_positions_all]],
-                    dtype=np.uint32,
-                ),
-                columnar.masks[write_positions_all],
-                warp_size,
-            )
-        else:
-            all_encodings = []
-    else:
-        write_positions_all = np.empty(0, dtype=np.int64)
-        all_encodings = []
-
     with telemetry.span(
         f"classify:{columnar.kernel_name}",
         cat="kernel",
         kernel=columnar.kernel_name,
     ):
-        for warp_id, segment in columnar.warp_slices():
-            events: list[TraceEvent] = []
-            for position in range(segment.start, segment.stop):
-                mask = mask_ints[position]
-                if mask >= lane_limit:
-                    raise TraceError(
-                        f"event mask {mask:#x} wider than warp size "
-                        f"{warp_size}"
-                    )
-                value_row = values_index[position]
-                addr_row = addr_index[position]
-                events.append(
-                    TraceEvent(
-                        opcode=ID_TO_OPCODE[opcode_ids[position]],
-                        dst=None if dst[position] < 0 else dst[position],
-                        src_regs=tuple(
-                            src_flat[
-                                src_offsets[position]:src_offsets[position + 1]
-                            ]
-                        ),
-                        active_mask=mask,
-                        block_id=blocks[position],
-                        dst_values=values_matrix[value_row]
-                        if value_row >= 0
-                        else None,
-                        addresses=addresses_matrix[addr_row]
-                        if addr_row >= 0
-                        else None,
-                        varying_special_src=varying[position],
-                        scalar_nonreg_srcs=scalar_nonreg[position],
-                    )
-                )
-            warp = WarpTrace(
-                warp_id=warp_id, warp_size=warp_size, events=events
+        classified = classify_columnar_chunk(
+            TraceChunk(
+                columnar=columnar,
+                index=0,
+                start_event=0,
+                warp_start=0,
+                first_warp_continued=False,
+                last_warp_continues=False,
+            ),
+            num_registers,
+            ClassifierCarry(),
+        )
+    warp_size = columnar.warp_size
+    trace = KernelTrace(kernel_name=columnar.kernel_name, warp_size=warp_size)
+    for (warp_id, _), fragment in zip(columnar.warp_slices(), classified):
+        trace.warps.append(
+            WarpTrace(
+                warp_id=warp_id,
+                warp_size=warp_size,
+                events=[item.event for item in fragment],
             )
-            trace.warps.append(warp)
-
-            if warp_size % 2 != 0:
-                classified_warp = _classify_warp_events(
-                    events, warp_size, num_registers
-                )
-            else:
-                lo = int(
-                    np.searchsorted(write_positions_all, segment.start, "left")
-                )
-                hi = int(
-                    np.searchsorted(write_positions_all, segment.stop, "left")
-                )
-                classified_warp = _classify_events(
-                    events, all_encodings[lo:hi], warp_size
-                )
-            classified.append(classified_warp)
-            if telemetry.enabled:
-                record_classified_warp(telemetry, classified_warp, warp_size)
+        )
     return trace, classified
 
 
@@ -554,12 +483,12 @@ def classify_columnar_chunk(
 ) -> list[list[ClassifiedEvent]]:
     """Batch-classify one :class:`~repro.simt.trace.TraceChunk`.
 
-    The chunk-streaming counterpart of :func:`classify_columnar_batch`:
-    same per-chunk whole-batch encoding math, same sequential sidecar
-    loop — but warps cut by a chunk boundary resume from the carried
+    One whole-chunk encoding batch, then the sequential sidecar loop
+    per warp; warps cut by a chunk boundary resume from the carried
     ``state``/``read_cache`` dicts instead of starting fresh, so
     concatenating every chunk's fragments reproduces the whole-trace
-    classified stream bit-for-bit.  Returns one event-fragment list per
+    classified stream bit-for-bit (:func:`classify_columnar_batch` is
+    this function over a single chunk spanning the trace).  Returns one event-fragment list per
     warp present in the chunk (split warps contribute one fragment per
     chunk they span); the event form is *not* accumulated — per-event
     Python objects live only as long as the chunk's fragments do.

@@ -47,12 +47,6 @@ class TestEngineSelection:
         with pytest.raises(ValueError):
             ExperimentRunner(scale="tiny", arch_engine="turbo")
 
-    def test_columns_cached_per_architecture(self, batch_runner):
-        arch = ArchitectureConfig.gscalar()
-        first = batch_runner.processed_columns("BP", arch)
-        second = batch_runner.processed_columns("BP", arch)
-        assert first is second
-
 
 class TestStaticCompressRunner:
     """The runner feeds the width analysis into the fifth architecture."""

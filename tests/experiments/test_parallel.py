@@ -30,7 +30,7 @@ class TestExecuteTask:
         assert stats["counters"]["trace_executions"] == 2  # warp 32 + 64
         assert (tmp_path / "HS_tiny.v5.json").exists()
         assert (tmp_path / "HS_tiny_w64.v5.json").exists()
-        assert (tmp_path / "HS_tiny_results_baseline.v5.json").exists()
+        assert list(tmp_path.glob("HS_tiny_results_baseline_*.v5.json"))
         assert not list(tmp_path.glob("*.pkl"))
 
 

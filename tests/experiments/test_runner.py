@@ -7,7 +7,7 @@ from unittest import mock
 
 import pytest
 
-from repro.config import ArchitectureConfig
+from repro.config import ArchitectureConfig, GpuConfig
 from repro.experiments.runner import ExperimentRunner, RunnerStats
 
 
@@ -162,7 +162,8 @@ class TestTraceCache:
         arch = ArchitectureConfig.gscalar()
         seeded = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
         expected = seeded.power("HS", arch).ipc_per_watt
-        for bank in tmp_path.glob(f"HS_tiny_results_{arch.name}.*.v5/*.pkl"):
+        stem = seeded._results_stem("HS", arch)
+        for bank in tmp_path.glob(f"{stem}.*.v5/*.pkl"):
             bank.write_bytes(b"junk")
         runner = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
         assert runner.power("HS", arch).ipc_per_watt == expected
@@ -174,7 +175,7 @@ class TestTraceCache:
         seeded = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
         timing = seeded.timing("HS", arch)
         power = seeded.power("HS", arch)
-        assert (tmp_path / f"HS_tiny_results_{arch.name}.v5.json").exists()
+        assert (tmp_path / f"{seeded._results_stem('HS', arch)}.v5.json").exists()
         warm = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
         assert warm.power("HS", arch).ipc_per_watt == power.ipc_per_watt
         assert warm.timing("HS", arch).cycles == timing.cycles
@@ -206,17 +207,13 @@ class TestTraceCache:
         assert tweaked.stats.counters["result_cache_misses"] >= 1
 
     def test_stale_sidecar_skipped_without_unpickling(self, tmp_path):
-        """A results entry left by different energy params is rejected
-        from its manifest's fingerprint alone: no pickled payload is
-        read to find out."""
-        from repro.power.energy import EnergyParams
-
+        """A results entry left by a different SM engine (same entry
+        name, other fingerprint) is rejected from its manifest's
+        fingerprint alone: no pickled payload is read to find out."""
         arch = ArchitectureConfig.gscalar()
         seeded = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
         seeded.power("HS", arch)
-        tweaked = ExperimentRunner(
-            scale="tiny", cache_dir=tmp_path, params=EnergyParams(alu_lane_pj=99.0)
-        )
+        tweaked = ExperimentRunner(scale="tiny", cache_dir=tmp_path, sm_engine="cycle")
         tweaked.power("HS", arch)
         assert tweaked.stats.counters["sidecar_invalid"] >= 1
         assert tweaked.stats.counters.get("bytes_deserialized", 0) == 0
@@ -238,12 +235,12 @@ def _truncate_trace_bank(cache, runner):
 
 
 def _delete_results_banks(cache, runner):
-    (bank_dir,) = cache.glob(f"HS_tiny_results_{ARCH.name}.*.v5")
+    (bank_dir,) = cache.glob(f"{runner._results_stem('HS', ARCH)}.*.v5")
     shutil.rmtree(bank_dir)
 
 
 def _garbage_timing_object(cache, runner):
-    (bank,) = cache.glob(f"HS_tiny_results_{ARCH.name}.*.v5/timing.pkl")
+    (bank,) = cache.glob(f"{runner._results_stem('HS', ARCH)}.*.v5/timing.pkl")
     bank.write_bytes(b"garbage")
 
 
@@ -320,3 +317,89 @@ class TestCacheDamage:
         assert after.power("HS", ARCH) == reference[1]
         assert after.stats.trace_executions == 1
         assert after.stats.counters.get("trace_cache_hits", 0) == 0
+
+    def test_failed_index_write_never_replays_a_partial_grid(self, tmp_path, reference):
+        """The grid index is written last; when that write fails, the
+        chunk banks already on disk are never replayed without it."""
+        from repro.experiments import store
+
+        real_store_entry = store.store_entry
+
+        def index_write_fails(*args, **kwargs):
+            if kwargs.get("kind") == "ckidx":
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_store_entry(*args, **kwargs)
+
+        def drop_results():
+            for path in tmp_path.glob("*_results_*.v5.json"):
+                path.unlink()
+
+        first = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
+        with mock.patch.object(store, "store_entry", index_write_fails):
+            assert first.timing("HS", ARCH) == reference[0]
+            assert first.power("HS", ARCH) == reference[1]
+        assert first.stats.counters["cache_store_failed"] == 1
+        assert not list(tmp_path.glob("*_idx.v5.json"))
+
+        drop_results()
+        cold = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
+        assert cold.timing("HS", ARCH) == reference[0]
+        assert cold.power("HS", ARCH) == reference[1]
+        counters = cold.stats.counters
+        assert counters.get("ccols_cache_hits", 0) == 0
+        assert counters.get("pcols_cache_hits", 0) == 0
+        assert counters["ccols_cache_misses"] == 1
+        assert "classify" in cold.stats.stage_seconds
+
+        drop_results()
+        warm = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
+        assert warm.timing("HS", ARCH) == reference[0]
+        assert warm.power("HS", ARCH) == reference[1]
+        counters = warm.stats.counters
+        assert counters["ccols_cache_hits"] == 1
+        assert counters["pcols_cache_hits"] == 1
+        assert "classify" not in warm.stats.stage_seconds
+        assert "process" not in warm.stats.stage_seconds
+
+
+class TestConfigSweep:
+    """A GPU-configuration sweep over one cache: the interpretation is
+    configuration-independent, and every point keeps its own results."""
+
+    SLOW_ALU = GpuConfig(alu_latency=12)
+
+    def test_sweep_point_replays_processed_banks(self, tmp_path):
+        expected = ExperimentRunner(scale="tiny", config=self.SLOW_ALU)
+        ExperimentRunner(scale="tiny", cache_dir=tmp_path).power("BP", ARCH)
+
+        swept = ExperimentRunner(scale="tiny", config=self.SLOW_ALU, cache_dir=tmp_path)
+        assert swept.timing("BP", ARCH) == expected.timing("BP", ARCH)
+        assert swept.power("BP", ARCH) == expected.power("BP", ARCH)
+        counters = swept.stats.counters
+        assert counters["pcols_cache_hits"] == 1
+        assert counters.get("pcols_cache_misses", 0) == 0
+        assert "process" not in swept.stats.stage_seconds
+
+    def test_sweep_point_keeps_default_results(self, tmp_path):
+        arches = (ArchitectureConfig.baseline(), ARCH)
+        for config in (None, self.SLOW_ALU):
+            runner = ExperimentRunner(scale="tiny", config=config, cache_dir=tmp_path)
+            for arch in arches:
+                runner.power("BP", arch)
+
+        default = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
+        for arch in arches:
+            default.power("BP", arch)
+        counters = default.stats.counters
+        assert counters["result_cache_hits"] == len(arches)
+        assert counters.get("result_cache_misses", 0) == 0
+        assert counters.get("sidecar_invalid", 0) == 0
+
+    def test_results_entries_label_as_results(self, tmp_path):
+        from repro.experiments.store import scan_cache
+
+        for config in (None, self.SLOW_ALU):
+            ExperimentRunner(scale="tiny", config=config, cache_dir=tmp_path).power(
+                "BP", ARCH
+            )
+        assert scan_cache(tmp_path)["stages"]["results"]["entries"] == 2

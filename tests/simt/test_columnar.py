@@ -162,12 +162,12 @@ class TestRunnerCacheRecovery:
         from repro.experiments.runner import ExperimentRunner
 
         batch_runner = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        batch_columns = batch_runner.classified_columns("BP")
+        ((_, batch_columns),) = batch_runner._iter_ccols_fragments("BP")
 
         event_runner = ExperimentRunner(
             scale="tiny", cache_dir=tmp_path, classifier="event"
         )
-        event_columns = event_runner.classified_columns("BP")
+        ((_, event_columns),) = event_runner._iter_ccols_fragments("BP")
         counters = event_runner.stats.counters
         assert counters["trace_cache_hits"] == 1
         assert counters.get("ccols_cache_hits", 0) == 0
