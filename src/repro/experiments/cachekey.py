@@ -161,6 +161,7 @@ def stage_fingerprint(
     stage_version: int,
     engine: str = "batch",
     sm_engine: str = "event",
+    classifier: str = "batch",
     analysis_version: int | None = None,
 ) -> str:
     """Fingerprint identifying one (benchmark, architecture) result pair.
@@ -169,9 +170,10 @@ def stage_fingerprint(
     additionally depends on the energy parameters.  Both live in one
     ``results`` entry, so the fingerprint covers the union.  ``engine``
     names the architecture-interpretation engine (``"batch"`` /
-    ``"event"``) and ``sm_engine`` the SM timing engine (``"event"`` /
-    ``"cycle"``) that produced the results — each engine pair is
-    differentially tested to be bit-identical, but keying them
+    ``"event"``), ``sm_engine`` the SM timing engine (``"event"`` /
+    ``"cycle"``) and ``classifier`` the classification engine
+    (``"batch"`` / ``"event"``) that produced the results — each engine
+    pair is differentially tested to be bit-identical, but keying them
     separately guarantees one engine can never silently replay the
     other's results while investigating a divergence.
     ``analysis_version`` keys results that consume a static-analysis
@@ -179,7 +181,10 @@ def stage_fingerprint(
     analysis's version, so tightening a transfer function invalidates
     exactly the results it can change.
     """
-    parts = ["stage", stage_version, trace_fp, arch, config, params, engine, sm_engine]
+    parts = [
+        "stage", stage_version, trace_fp, arch, config, params,
+        engine, sm_engine, classifier,
+    ]
     if analysis_version is not None:
         parts.append(("analysis", analysis_version))
     return fingerprint(*parts)

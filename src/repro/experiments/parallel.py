@@ -5,11 +5,12 @@ benchmark granularity: each benchmark's trace, classified stream and
 per-architecture timing/power results are independent of every other
 benchmark's.  :func:`run_matrix` spawns one :class:`MatrixTask` per
 benchmark and executes them on a :class:`~concurrent.futures.\
-ProcessPoolExecutor`; workers communicate with the parent exclusively
-through the fingerprinted on-disk cache
-(:class:`~repro.experiments.runner.ExperimentRunner` with a shared
-``cache_dir``), so the parent — and any later process — replays the
-whole matrix from cache without re-executing anything.
+ProcessPoolExecutor`.  The parent hands a worker only the task
+parameters; everything else travels through the fingerprinted on-disk
+v5 cache (:class:`~repro.experiments.runner.ExperimentRunner` with a
+shared ``cache_dir``), whose trace banks a worker maps read-only.  The
+parent — and any later process — then replays the whole matrix from
+cache without re-executing anything.
 
 Determinism: the simulator is pure numpy/python with no randomness, and
 trace serialization round-trips losslessly, so figure data computed
@@ -30,7 +31,6 @@ from repro.experiments.runner import (
     RunnerStats,
     paper_architectures,
 )
-from repro.experiments.shm import AdoptedSegment, ShmHandle
 from repro.obs.telemetry import telemetry_session
 from repro.power.energy import EnergyParams
 
@@ -42,14 +42,7 @@ class MatrixTask:
     All fields are plain (frozen) dataclasses or builtins, so a task
     pickles cleanly under both the ``fork`` and ``spawn`` start methods.
     ``telemetry`` asks the worker to run with an enabled telemetry
-    registry and ship its snapshot back in the return payload.  ``shm``
-    (optional) points at a shared-memory export of the benchmark's
-    already-materialized columnar trace: the worker adopts those pages
-    read-only instead of re-reading (or re-executing) the trace.
-    ``bank_hints`` carries (stem, fingerprint) pairs of v5 bank entries
-    the parent has already verified — ccols/pcols banks, per-chunk
-    banks and chunk-grid indexes — so the worker's presence probes
-    trust the parent instead of re-reading each manifest.
+    registry and ship its snapshot back in the return payload.
     ``chunk_events`` propagates the parent's streaming chunk size, so
     workers compute chunked (and share the same per-chunk bank grid).
     """
@@ -66,8 +59,6 @@ class MatrixTask:
     arch_engine: str = "batch"
     sm_engine: str = "event"
     chunk_events: int | None = None
-    shm: ShmHandle | None = None
-    bank_hints: tuple[tuple[str, str], ...] = ()
 
 
 def _run_task(task: MatrixTask) -> dict:
@@ -81,32 +72,12 @@ def _run_task(task: MatrixTask) -> dict:
         sm_engine=task.sm_engine,
         chunk_events=task.chunk_events,
     )
-    if task.bank_hints:
-        runner.adopt_bank_hints(dict(task.bank_hints))
-    segment = None
-    if task.shm is not None:
-        segment = AdoptedSegment(task.shm)
-        runner.adopt_shared(
-            task.abbr,
-            segment.columnar(),
-            task.shm.fingerprint,
-            task.shm.total_bytes,
-        )
-    try:
-        runner.run(task.abbr)
-        for warp_size in task.warp_sizes:
-            runner.trace_with_warp_size(task.abbr, warp_size)
-        for arch in task.arches:
-            runner.power(task.abbr, arch)
-        payload = runner.stats.to_payload()
-    finally:
-        if segment is not None:
-            # Drop the runner's references to the shared views before
-            # closing the map (CPython refuses to close a buffer with
-            # live exports; detach() collects and tolerates leaks).
-            runner = None
-            segment.detach()
-    return payload
+    runner.run(task.abbr)
+    for warp_size in task.warp_sizes:
+        runner.trace_with_warp_size(task.abbr, warp_size)
+    for arch in task.arches:
+        runner.power(task.abbr, arch)
+    return runner.stats.to_payload()
 
 
 def execute_task(task: MatrixTask) -> dict:
@@ -143,8 +114,6 @@ def run_matrix(
     arch_engine: str = "batch",
     sm_engine: str = "event",
     chunk_events: int | None = None,
-    shm_handles: "dict[str, ShmHandle] | None" = None,
-    bank_hints: "dict[str, tuple[tuple[str, str], ...]] | None" = None,
 ) -> RunnerStats:
     """Execute the benchmark × architecture matrix across processes.
 
@@ -152,18 +121,10 @@ def run_matrix(
     completed, total)`` each time a benchmark finishes, in completion
     order.  With ``telemetry`` set, every worker records into an
     enabled registry whose snapshot merges into the returned stats.
-    ``shm_handles`` maps benchmark abbreviations to shared-memory
-    exports of columnar traces the parent already materialized
-    (:class:`~repro.experiments.shm.ShmExporter`); matching workers
-    adopt the shared pages instead of re-reading the trace.
-    ``bank_hints`` maps abbreviations to the (stem, fingerprint) pairs
-    of v5 bank entries the parent has already verified; ``chunk_events``
-    makes workers stream their compute in chunks.  Returns the stats
-    aggregated over every worker.
+    ``chunk_events`` makes workers stream their compute in chunks.
+    Returns the stats aggregated over every worker.
     """
     arch_list = tuple(arches) if arches is not None else paper_architectures()
-    handles = shm_handles or {}
-    hints = bank_hints or {}
     tasks = [
         MatrixTask(
             abbr=abbr,
@@ -178,8 +139,6 @@ def run_matrix(
             arch_engine=arch_engine,
             sm_engine=sm_engine,
             chunk_events=chunk_events,
-            shm=handles.get(abbr),
-            bank_hints=hints.get(abbr, ()),
         )
         for abbr in names
     ]

@@ -37,13 +37,11 @@ mismatch, any damaged entry or a failed write only costs a
 recomputation, and staleness is decided from the manifest without
 opening a bank.  Files of older cache formats are never opened.
 :meth:`ExperimentRunner.prefetch` fans the benchmark × architecture
-matrix out over a process pool (:mod:`repro.experiments.parallel`) that
-communicates through this cache plus shared-memory exports of
-already-materialized traces (:mod:`repro.experiments.shm`), and
+matrix out over a process pool (:mod:`repro.experiments.parallel`)
+whose workers share nothing with the parent but this cache, and
 :attr:`ExperimentRunner.stats` counts cache hits, misses,
 re-executions, per-stage wall time and the transport byte counters
-(``bytes_mapped`` / ``bytes_copied`` / ``bytes_deserialized``) for
-observability.
+(``bytes_mapped`` / ``bytes_deserialized``) for observability.
 """
 
 from __future__ import annotations
@@ -339,7 +337,7 @@ class BenchmarkRun:
     @property
     def columnar(self) -> ColumnarTrace | None:
         """The columnar form when the trace came from the cache (or a
-        shared-memory adoption, or a deferred synthetic materializer);
+        deferred synthetic materializer);
         the columnar pipeline reuses these arrays instead of
         re-extracting them from event objects."""
         if self._columnar is None and self._columnar_loader is not None:
@@ -436,12 +434,9 @@ class ExperimentRunner:
                 self.stats.bump("cache_bytes_swept", swept.bytes_freed)
         self._runs: dict[str, BenchmarkRun] = {}
         self._seeds: dict[str, tuple[ColumnarTrace, int]] = {}
-        self._adopted: dict[str, tuple[ColumnarTrace, str, int]] = {}
         #: v5 bank stems this runner has verified (stored or cleanly
-        #: loaded) mapped to their fingerprints.  Prefetch ships the
-        #: relevant slice to pool workers (:meth:`adopt_bank_hints`), so
-        #: workers trust the parent's verification instead of re-probing
-        #: every manifest.
+        #: loaded) mapped to their fingerprints, so its own later
+        #: presence probes skip the manifest re-read.
         self._bank_hints: dict[str, str] = {}
         self._warp_traces: dict[tuple[str, int], KernelTrace] = {}
         self._static_widths: dict[str, tuple[int, ...]] = {}
@@ -541,34 +536,6 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
     # Trace stage.
     # ------------------------------------------------------------------
-    def _record_trace_hit(self, key: str, columnar: ColumnarTrace) -> None:
-        self.stats.bump("trace_cache_hits")
-        telemetry = get_telemetry()
-        if telemetry.enabled:
-            # Cache hits skip the executor, so feed the instruction-mix
-            # counters from the columnar arrays instead — same numbers
-            # either way.
-            record_columnar_warps(telemetry, columnar, opcode_labels())
-
-    def adopt_shared(
-        self,
-        abbr: str,
-        columnar: ColumnarTrace,
-        fingerprint: str,
-        nbytes: int = 0,
-    ) -> None:
-        """Pre-seed a benchmark's trace from a shared-memory segment.
-
-        Pool workers call this with the views of an
-        :class:`~repro.experiments.shm.AdoptedSegment` before running:
-        :meth:`run` then starts from the parent's already-materialized
-        columns instead of touching the disk cache at all.  The
-        fingerprint travels with the handle and is re-checked against
-        the worker's own kernel/scale at use, so an adopted segment can
-        never smuggle in a stale trace.
-        """
-        self._adopted[self._normalize(abbr)] = (columnar, fingerprint, nbytes)
-
     def _obtain_trace(
         self, key: str, built: BuiltWorkload, warp_size: int
     ) -> tuple[KernelTrace | ColumnarTrace, str]:
@@ -583,14 +550,6 @@ class ExperimentRunner:
         :class:`KernelTrace` directly.
         """
         fingerprint = cachekey.trace_fingerprint(built.kernel, self.scale, warp_size)
-        if warp_size == 32:
-            adopted = self._adopted.get(key)
-            if adopted is not None and adopted[1] == fingerprint:
-                self.stats.bump("trace_shm_adopted")
-                self.stats.bump("bytes_mapped", adopted[2])
-                self._log(f"adopted shared-memory trace for {key}")
-                self._record_trace_hit(key, adopted[0])
-                return adopted[0], fingerprint
         stem = self._trace_stem(key, warp_size)
         if self.cache_dir is not None:
             with self.stats.timer("trace_load", benchmark=key, warp_size=warp_size):
@@ -600,7 +559,13 @@ class ExperimentRunner:
             if status == "hit":
                 self.stats.bump("bytes_mapped", entry.bytes_mapped)
                 self._log(f"mapped v5 trace for {key} (warp {warp_size})")
-                self._record_trace_hit(key, columnar)
+                self.stats.bump("trace_cache_hits")
+                telemetry = get_telemetry()
+                if telemetry.enabled:
+                    # Cache hits skip the executor, so feed the
+                    # instruction-mix counters from the columnar arrays
+                    # instead — same numbers either way.
+                    record_columnar_warps(telemetry, columnar, opcode_labels())
                 return columnar, fingerprint
             if status != "absent":
                 self._log(f"discarding {status} v5 trace entry for {key}")
@@ -761,18 +726,6 @@ class ExperimentRunner:
                 )
         return self._processed[key]
 
-    def adopt_bank_hints(self, hints: dict[str, str]) -> None:
-        """Pre-seed v5 bank stems -> fingerprints verified by the parent.
-
-        Pool workers receive the parent's already-verified manifest set
-        (:meth:`prefetch` collects it from every store and clean load),
-        so their presence probes — chunk-grid completeness checks in
-        particular — skip the per-manifest re-read.
-        """
-        self._bank_hints.update(hints)
-        if hints:
-            self.stats.bump("bank_hints_adopted", len(hints))
-
     def _results_fingerprint(self, run: BenchmarkRun, arch: ArchitectureConfig) -> str:
         return cachekey.stage_fingerprint(
             run.trace_fingerprint,
@@ -782,6 +735,7 @@ class ExperimentRunner:
             STAGE_VERSION,
             engine=self.arch_engine,
             sm_engine=self.sm_engine,
+            classifier=self.classifier,
             analysis_version=(
                 WIDTH_ANALYSIS_VERSION if arch.static_compression else None
             ),
@@ -912,8 +866,7 @@ class ExperimentRunner:
             return False
         for stem in stems:
             if self._bank_hints.get(stem) == fingerprint:
-                # Verified by this runner (or shipped from the parent's
-                # verification via adopt_bank_hints): no manifest re-read.
+                # Verified earlier by this runner: no manifest re-read.
                 self.stats.bump("bank_probes_skipped")
                 continue
             manifest = store.peek_manifest(self.cache_dir, stem)
@@ -1252,67 +1205,22 @@ class ExperimentRunner:
                         "processes communicate through the on-disk cache"
                     )
                 from repro.experiments.parallel import run_matrix
-                from repro.experiments.shm import ShmExporter
 
-                # In-process fan-out shortcut: any columnar trace this
-                # runner already materialized is exported once into
-                # shared memory so workers adopt the pages instead of
-                # re-opening the disk entry.  The one export copy is
-                # what ``bytes_copied`` counts; each adoption counts as
-                # mapped bytes in the worker that performs it.
-                handles = {}
-                with ShmExporter() as exporter:
-                    for abbr in wanted:
-                        seeded = self._runs.get(abbr)
-                        if seeded is None or abbr in self._seeds:
-                            # Synthetic runs export nothing: workers
-                            # regenerate replicas from the (cached)
-                            # seed rather than shipping 10^6+ events.
-                            continue
-                        columnar = seeded.columnar
-                        if columnar is None:
-                            # Freshly-executed trace: pack it once so
-                            # the copy is shared by every worker.
-                            columnar = seeded.trace.to_columnar()
-                            seeded._columnar = columnar
-                        with self.stats.timer("shm_export", benchmark=abbr):
-                            handle = exporter.export_columnar(
-                                columnar, seeded.trace_fingerprint
-                            )
-                        handles[abbr] = handle
-                        self.stats.bump("shm_exports")
-                        self.stats.bump("bytes_copied", handle.total_bytes)
-                    # Ship each worker the manifest set this runner has
-                    # already verified for its benchmark, so the worker
-                    # skips per-manifest re-probes on warm banks.
-                    bank_hints = {
-                        abbr: hints
-                        for abbr in wanted
-                        if (
-                            hints := tuple(
-                                (stem, fp)
-                                for stem, fp in self._bank_hints.items()
-                                if stem.startswith(f"{abbr}_")
-                            )
-                        )
-                    }
-                    worker_stats = run_matrix(
-                        names=wanted,
-                        scale=self.scale.name,
-                        cache_dir=self.cache_dir,
-                        jobs=jobs,
-                        warp_sizes=tuple(warp_sizes),
-                        arches=arch_list,
-                        config=self.config,
-                        params=self.params,
-                        progress=progress,
-                        telemetry=get_telemetry().enabled,
-                        classifier=self.classifier,
-                        arch_engine=self.arch_engine,
-                        sm_engine=self.sm_engine,
-                        chunk_events=self.chunk_events,
-                        shm_handles=handles or None,
-                        bank_hints=bank_hints or None,
-                    )
+                worker_stats = run_matrix(
+                    names=wanted,
+                    scale=self.scale.name,
+                    cache_dir=self.cache_dir,
+                    jobs=jobs,
+                    warp_sizes=tuple(warp_sizes),
+                    arches=arch_list,
+                    config=self.config,
+                    params=self.params,
+                    progress=progress,
+                    telemetry=get_telemetry().enabled,
+                    classifier=self.classifier,
+                    arch_engine=self.arch_engine,
+                    sm_engine=self.sm_engine,
+                    chunk_events=self.chunk_events,
+                )
                 self.stats.merge(worker_stats)
         return self.stats

@@ -69,7 +69,13 @@ class TestStageFingerprint:
         other_version = cachekey.stage_fingerprint(
             "abc", ArchitectureConfig.gscalar(), config, DEFAULT_ENERGY, 2
         )
-        assert len({base, other_arch, other_energy, other_version}) == 4
+        other_classifier = cachekey.stage_fingerprint(
+            "abc", ArchitectureConfig.gscalar(), config, DEFAULT_ENERGY, 1,
+            classifier="event",
+        )
+        assert len(
+            {base, other_arch, other_energy, other_version, other_classifier}
+        ) == 5
 
     def test_stable_across_equal_inputs(self):
         first = cachekey.stage_fingerprint(

@@ -6,9 +6,17 @@ checked on a benchmark subset at tiny scale so the pool spin-up stays
 cheap inside the unit suite.
 """
 
+import multiprocessing
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
+from unittest import mock
+
 import pytest
 
 from repro.analysis.halfwarp import chunk_scalar_stats
+from repro.experiments import store
 from repro.experiments.parallel import MatrixTask, execute_task, run_matrix
 from repro.experiments.runner import ExperimentRunner, paper_architectures
 
@@ -112,3 +120,57 @@ class TestPrefetch:
         assert (tmp_path / "HS_tiny.v5.json").exists()
         assert runner.run("HS").abbr == "HS"
         assert runner.stats.trace_executions == 1
+
+
+class TestKilledWorker:
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched os call reaches workers only through fork",
+    )
+    @pytest.mark.parametrize(
+        "call, target",
+        [
+            # Banks written but not yet renamed into place.
+            (
+                "rename",
+                lambda name: name.startswith("HS_tiny.") and name.endswith(".v5"),
+            ),
+            # Banks renamed into place, manifest not yet.
+            ("replace", lambda name: name == "HS_tiny.v5.json"),
+        ],
+        ids=["before-bank-rename", "before-manifest-rename"],
+    )
+    def test_worker_killed_mid_write_leaves_a_recoverable_cache(
+        self, tmp_path, call, target
+    ):
+        """A worker dies partway through writing HS's trace entry: the
+        pool reports the death instead of hanging, and the half-written
+        entry only costs a re-run."""
+        parent = os.getpid()
+        real = getattr(os, call)
+
+        def dying(src, dst, *args, **kwargs):
+            if os.getpid() != parent and target(Path(dst).name):
+                os._exit(1)
+            return real(src, dst, *args, **kwargs)
+
+        def hung(signum, frame):
+            raise TimeoutError("run_matrix hung after a worker died")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(120)
+        try:
+            with mock.patch.object(store.os, call, dying):
+                with pytest.raises(BrokenProcessPool):
+                    run_matrix(SUBSET, "tiny", tmp_path, jobs=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert not (tmp_path / "HS_tiny.v5.json").exists()
+
+        recovered = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
+        reference = ExperimentRunner(scale="tiny")
+        for abbr in SUBSET:
+            for arch in paper_architectures():
+                assert recovered.power(abbr, arch) == reference.power(abbr, arch)
+        assert recovered.stats.counters["trace_executions"] >= 1

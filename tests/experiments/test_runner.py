@@ -403,3 +403,22 @@ class TestConfigSweep:
                 "BP", ARCH
             )
         assert scan_cache(tmp_path)["stages"]["results"]["entries"] == 2
+
+
+class TestClassifierKey:
+    """Results entries are keyed on the classifier, so a
+    ``--classifier=event`` differential run on a cache the batch
+    classifier filled classifies for itself instead of replaying."""
+
+    def test_event_classifier_does_not_replay_batch_results(self, tmp_path):
+        arches = (ArchitectureConfig.baseline(), ARCH)
+        batch = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
+        expected = {arch.name: batch.power("HS", arch) for arch in arches}
+
+        event = ExperimentRunner(scale="tiny", cache_dir=tmp_path, classifier="event")
+        for arch in arches:
+            assert event.power("HS", arch) == expected[arch.name]
+        counters = event.stats.counters
+        assert "classify" in event.stats.stage_seconds
+        assert counters.get("result_cache_hits", 0) == 0
+        assert counters["result_cache_misses"] == len(arches)

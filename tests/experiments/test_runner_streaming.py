@@ -3,8 +3,8 @@
 The runner's one batch driver must produce results bit-identical to
 the independent ``--arch-engine=event`` path for every grid size (cold,
 from the results entries, and from per-chunk v5 banks), keep the synthetic tier fully streamed (no whole trace ever
-materialized), honour parent-shipped bank hints, and surface the memory
-gauges through ``stats.to_dict``.
+materialized), skip the manifest probes of banks the runner itself has
+verified, and surface the memory gauges through ``stats.to_dict``.
 """
 
 import dataclasses
@@ -119,17 +119,17 @@ class TestChunkedEqualsWhole:
         assert "process" not in stages
 
     def test_bank_hints_skip_probes(self, warm_cache, whole_reference):
-        cache, cold_runner, _ = warm_cache
+        # One runner walks every architecture of the chunked grid: the
+        # first pass verifies the shared ccols banks, so later passes
+        # skip their manifest probes.
+        cache, _, _ = warm_cache
         _drop_result_sidecars(cache)
         runner = ExperimentRunner(scale="tiny", cache_dir=cache, chunk_events=CHUNK)
-        runner.adopt_bank_hints(dict(cold_runner._bank_hints))
         for abbr in BENCHES:
             for arch in ARCHES:
                 assert runner.power(abbr, arch) == whole_reference[(abbr, arch.name)]
         counters = runner.stats.counters
-        assert counters.get("bank_hints_adopted", 0) > 0
         assert counters.get("bank_probes_skipped", 0) > 0
-        assert counters.get("bank_hint_hits", 0) > 0
 
     def test_different_chunk_size_same_results(self, warm_cache, whole_reference):
         cache, _, _ = warm_cache
@@ -178,7 +178,6 @@ class TestParallelPassthrough:
             warp_sizes=(32,), arches=ARCHES[:1], config=None, params=None,
         )
         assert task.chunk_events is None
-        assert task.bank_hints == ()
 
     def test_run_matrix_chunked(self, tmp_path, whole_reference):
         stats = run_matrix(
